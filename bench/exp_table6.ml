@@ -20,49 +20,24 @@ let run (scale : Util.scale) =
       let t = Util.target name in
       let info = Targets.Registry.instrument t in
       let budget = Util.scaled_time scale base_budget in
-      let runs mk =
+      let runs arm =
         let rates =
-          Util.repeat scale.Util.reps (fun rep -> Util.fixed_rate name (mk (300 + rep)))
+          Util.repeat scale.Util.reps (fun rep ->
+              let settings =
+                {
+                  (Util.settings_for t) with
+                  Compi.Driver.iterations = max_int;
+                  time_budget = Some budget;
+                  seed = 300 + rep;
+                }
+              in
+              Util.fixed_rate name (Compi.Variants.run arm ~settings info))
         in
         (Util.mean rates, Util.fmax rates)
       in
-      let fwk_avg, fwk_max =
-        runs (fun seed ->
-            let settings =
-              {
-                (Util.settings_for t) with
-                Compi.Driver.iterations = max_int;
-                time_budget = Some budget;
-                seed;
-              }
-            in
-            Compi.Driver.run ~settings info)
-      in
-      let nofwk_avg, nofwk_max =
-        runs (fun seed ->
-            let settings =
-              {
-                (Util.settings_for t) with
-                Compi.Driver.iterations = max_int;
-                time_budget = Some budget;
-                framework = false;
-                seed;
-              }
-            in
-            Compi.Driver.run ~settings info)
-      in
-      let rnd_avg, rnd_max =
-        runs (fun seed ->
-            let settings =
-              {
-                (Util.settings_for t) with
-                Compi.Driver.iterations = max_int;
-                time_budget = Some budget;
-                seed;
-              }
-            in
-            Compi.Random_testing.run ~settings info)
-      in
+      let fwk_avg, fwk_max = runs Compi.Variants.Compi_default in
+      let nofwk_avg, nofwk_max = runs Compi.Variants.No_framework in
+      let rnd_avg, rnd_max = runs Compi.Variants.Random in
       Printf.printf "%-10s | %5.1f%% %5.1f%% | %5.1f%% %5.1f%% | %5.1f%% %5.1f%%\n%!" name
         fwk_avg fwk_max nofwk_avg nofwk_max rnd_avg rnd_max)
     budgets;

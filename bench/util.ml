@@ -50,7 +50,7 @@ let reference_reachable name =
         seed = 1;
       }
     in
-    let r = Compi.Driver.run ~settings info in
+    let r = Compi.Variants.(run Compi_default) ~settings info in
     let reachable = max 1 r.Compi.Driver.reachable_branches in
     Hashtbl.replace reachable_cache name reachable;
     reachable

@@ -323,7 +323,7 @@ let test_cmd =
     in
     let result =
       with_telemetry ~trace_events ~metrics (fun () ->
-          Compi.Driver.run ~settings ~label:t.Targets.Registry.name info)
+          Compi.Variants.(run ~label:t.Targets.Registry.name Compi_default) ~settings info)
     in
     report result;
     if curve then print_string (Compi.Report.ascii_curve result);
@@ -1255,7 +1255,7 @@ let random_cmd =
     let info, settings =
       settings_of t iterations time seed nprocs caps false false false `Dfs
     in
-    report (Compi.Random_testing.run ~settings info)
+    report (Compi.Variants.(run ~label:t.Targets.Registry.name Random) ~settings info)
   in
   Cmd.v
     (Cmd.info "random" ~doc:"Run the random-testing baseline on a target")
@@ -1366,7 +1366,7 @@ let test_file_cmd =
             seed;
           }
         in
-        report (Compi.Driver.run ~settings info))
+        report (Compi.Variants.(run Compi_default) ~settings info))
   in
   Cmd.v
     (Cmd.info "test-file"

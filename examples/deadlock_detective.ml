@@ -51,7 +51,7 @@ let () =
     }
   in
   Printf.printf "searching for the deadlocking mode value...\n";
-  let result = Compi.Driver.run ~settings info in
+  let result = Compi.Variants.(run Compi_default) ~settings info in
   let deadlocks =
     List.filter
       (fun (b : Compi.Driver.bug) ->

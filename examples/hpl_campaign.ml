@@ -24,7 +24,7 @@ let () =
       cap_overrides = [ ("n", cap) ];
     }
   in
-  let result = Compi.Driver.run ~settings info in
+  let result = Compi.Variants.(run Compi_default) ~settings info in
   (* coverage curve, sampled every 10% of the run *)
   let stats = Array.of_list result.Compi.Driver.stats in
   let n = Array.length stats in

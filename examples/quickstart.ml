@@ -57,7 +57,7 @@ let () =
       initial_nprocs = 4;
     }
   in
-  let result = Compi.Driver.run ~settings info in
+  let result = Compi.Variants.(run Compi_default) ~settings info in
   Printf.printf "covered %d / %d reachable branches (%.1f%%) in %d iterations\n"
     result.Compi.Driver.covered_branches result.Compi.Driver.reachable_branches
     (100.0 *. result.Compi.Driver.coverage_rate)
@@ -73,7 +73,7 @@ let () =
            (List.map (fun (k, x) -> Printf.sprintf "%s=%d" k x) b.Compi.Driver.bug_inputs)))
     (Compi.Driver.distinct_bugs result);
   (* 4. Compare with random testing under the same budget. *)
-  let random = Compi.Random_testing.run ~settings info in
+  let random = Compi.Variants.(run Random) ~settings info in
   Printf.printf "\nrandom testing with the same budget: %d branches (%.1f%%), %d bug(s)\n"
     random.Compi.Driver.covered_branches
     (100.0 *. random.Compi.Driver.coverage_rate)

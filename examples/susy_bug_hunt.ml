@@ -20,7 +20,7 @@ let () =
       seed = 5;
     }
   in
-  let result = Compi.Driver.run ~settings info in
+  let result = Compi.Variants.(run Compi_default) ~settings info in
   let bugs = Compi.Driver.distinct_bugs result in
   Printf.printf "%d distinct defects in %d iterations (%.1fs):\n\n"
     (List.length bugs) result.Compi.Driver.iterations_run result.Compi.Driver.wall_time;

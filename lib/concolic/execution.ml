@@ -24,10 +24,9 @@ let negation_problem t i =
   let negated = Smt.Constr.negate (constr_at t i) in
   (negated, negated :: List.rev_append (List.rev (prefix t i)) t.extra)
 
-let solve_negation ?budget ?canonical t i =
+let solve_negation ?budget t i =
   let negated, cs = negation_problem t i in
-  Smt.Solver.solve_incremental ?budget ?canonical ~domains:t.domains ~prev:t.model
-    ~target:negated cs
+  Smt.Solver.solve_incremental ?budget ~domains:t.domains ~prev:t.model ~target:negated cs
 
 (* The canonical identity of the solve that [solve_negation t i] would
    perform, computed once: the dependency closure of the negated

@@ -37,18 +37,12 @@ val constr_at : t -> int -> Smt.Constr.t
 val branch_at : t -> int -> int
 
 val solve_negation :
-  ?budget:int ->
-  ?canonical:bool ->
-  t ->
-  int ->
-  (Smt.Solver.incremental_result, [ `Unsat | `Unknown ]) result
+  ?budget:int -> t -> int -> (Smt.Solver.incremental_result, [ `Unsat | `Unknown ]) result
 (** [solve_negation t i] negates the constraint at position [i], keeps
     the path prefix before it plus [t.extra], and solves incrementally
-    against the run's model (CREST's input-derivation step). By default
-    the solver prefers this run's concrete values, so the model depends
-    on [t.model]; with [~canonical:true] the verdict and [fresh]
-    bindings are a pure function of {!negation_key} — required wherever
-    the result may be cached and replayed into a different run. *)
+    against the run's model (CREST's input-derivation step). The verdict
+    and [fresh] bindings are a pure function of {!negation_key}, so the
+    result may be cached and replayed into a different run. *)
 
 type prepared
 (** The canonical identity of one negation solve, computed once: the
@@ -71,7 +65,7 @@ val solve_prepared :
   t ->
   prepared ->
   (Smt.Solver.incremental_result, [ `Unsat | `Unknown ]) result
-(** Exactly [solve_negation ~canonical:true] for the prepared candidate,
+(** Exactly {!solve_negation} for the prepared candidate,
     reusing its closure — no second dependency walk or sort. *)
 
 val apply_prepared :
@@ -93,11 +87,10 @@ val apply_cached :
   int ->
   Smt.Cache.outcome ->
   (Smt.Solver.incremental_result, [ `Unsat | `Unknown ]) result
-(** Replay a cached verdict as if [solve_negation ~canonical:true t i]
-    had produced it: the cached model's bindings for the closure
-    variables are merged over this run's concrete model, and [changed]
-    is recomputed against it. Sound only for verdicts obtained from a
-    {e canonical} solve — those are pure functions of the key, so the
-    replay equals what a live solve in this run would return even when
-    the runs' concrete models differ. Never returns [Error `Unknown]
-    (unknowns are not cached). *)
+(** Replay a cached verdict as if [solve_negation t i] had produced it:
+    the cached model's bindings for the closure variables are merged
+    over this run's concrete model, and [changed] is recomputed against
+    it. Solves are pure functions of the key, so the replay equals what
+    a live solve in this run would return even when the runs' concrete
+    models differ. Never returns [Error `Unknown] (unknowns are not
+    cached). *)

@@ -10,6 +10,7 @@ type kind =
          position of each new path becomes a candidate, and candidates
          whose flipped branch side is still uncovered are served first.
          The argument bounds how many positions of one path expand. *)
+  | Random_inputs  (* the random baseline: never negates *)
 
 type t = {
   kind : kind;
@@ -35,6 +36,7 @@ let kind_name t =
   | Uniform_random -> "uniform-random"
   | Cfg_directed _ -> "cfg-directed"
   | Generational bound -> Printf.sprintf "generational(%d)" bound
+  | Random_inputs -> "random-inputs"
 
 let observe t ~depth record =
   match t.kind with
@@ -52,6 +54,7 @@ let observe t ~depth record =
     let fresh = List.init (max 0 (limit - depth)) (fun k -> { record; index = depth + k }) in
     t.pool <- List.rev_append fresh t.pool
   | Random_branch | Uniform_random | Cfg_directed _ -> t.latest <- Some record
+  | Random_inputs -> ()
 
 let pick_random_branch t record =
   (* Choose among distinct conditionals on the path, then negate the
@@ -134,6 +137,7 @@ let next t ~coverage =
   | Random_branch -> Option.bind t.latest (pick_random_branch t)
   | Uniform_random -> Option.bind t.latest (pick_uniform t)
   | Cfg_directed g -> Option.bind t.latest (fun r -> pick_cfg t g r ~coverage)
+  | Random_inputs -> None
 
 let next_batch t ~coverage ~max =
   (* Draw up to [max] candidates, skipping duplicates of earlier draws
@@ -160,3 +164,4 @@ let stack_size t =
   | Generational _ -> List.length t.pool
   | Random_branch | Uniform_random | Cfg_directed _ -> (
     match t.latest with Some _ -> 1 | None -> 0)
+  | Random_inputs -> 0

@@ -13,10 +13,10 @@
     - {b CFG-directed} — negate the position whose flipped side has the
       smallest static distance to an uncovered branch.
 
-    The driver protocol: after every execution call {!observe} (with
+    The campaign protocol: after every execution call {!observe} (with
     [depth] = position after the negation that produced it, 0 for a
     fresh random run); call {!next} to get the next negation candidate;
-    [None] means the strategy is exhausted and the driver should restart
+    [None] means the strategy is exhausted and the campaign should restart
     with fresh random inputs. *)
 
 type candidate = { record : Execution.t; index : int }
@@ -31,6 +31,9 @@ type kind =
           position (up to the bound) of each new path joins a candidate
           pool, and candidates whose flipped branch side is still
           uncovered are served first *)
+  | Random_inputs
+      (** the random-testing baseline (paper section VI-E): never yields a
+          candidate, so every test is a fresh random restart *)
 
 type t
 

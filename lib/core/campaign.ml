@@ -1,12 +1,13 @@
 open Minic
 open Concolic
 
-(* Parallel campaign engine.
+(* The campaign engine: the one concolic loop.
 
-   The sequential driver interleaves "execute the pending test" and
-   "derive the next test" in one loop, so each iteration depends on the
-   previous one. This engine restructures the campaign into a
-   deterministic pipeline: each round's work list of independent items
+   The paper's loop interleaves "execute the pending test" and "derive
+   the next test", so each iteration depends on the previous one. This
+   engine restructures the campaign into a deterministic pipeline
+   (at batch 1 it is the paper's loop: one negation per test, in DFS
+   order): each round's work list of independent items
    — fresh tests to execute, or branch negations to attempt — is
    published to a {!Taskpool} of persistent worker domains, and the
    main domain consumes results {e in work-list order as they stream
@@ -28,13 +29,17 @@ open Concolic
    negations both miss and both solve; the merge inserts the first
    verdict and drops the duplicate (first-verdict-wins).
 
-   Negations are solved in {e canonical} mode (sorted closure, no
-   preference model) whether the cache is on or off: the verdict is
-   then a pure function of the cache key, so a hit replays exactly what
-   a live solve would have returned even though the verdict was found
-   under a different run's concrete model, and cache on/off cannot
-   change the trajectory. (The sequential driver keeps CREST's
-   prefer-previous-values heuristic; it never replays across runs.)
+   A negation's verdict is a pure function of its cache key (the solver
+   never consults the run's concrete model), so a hit replays exactly
+   what a live solve would have returned even though the verdict was
+   found under a different run's concrete model, and cache on/off
+   cannot change the trajectory.
+
+   The Random baseline of Table VI ([Strategy.Random_inputs]) runs
+   through the same loop: its strategy never yields a candidate, so
+   every round is one fresh restart test, executed without symbolic
+   instrumentation and launched with a random process count and
+   focus.
 
    Checkpointing piggybacks on the same structure. Every state mutation
    happens on the main domain at a merge position — after item k of the
@@ -42,15 +47,14 @@ open Concolic
    (merged state + the un-merged tail as work items) is a point the
    uninterrupted run also passes through with identical state. A resume
    re-dispatches the tail: executions are pure functions of their
-   pending record and canonical verdicts are pure functions of their
-   cache key, so the resumed trajectory — and the final coverage
-   report — is byte-identical to the uninterrupted run's, at any
-   worker count. (A tail negation may hit the cache where the original
-   run solved live; canonical mode makes the replay equal to the solve,
-   which is exactly the PR-2 invariant.) Snapshots are also taken when
-   the iteration budget or a SIGINT/SIGTERM cuts the merge short, so a
-   budget-capped run leaves a checkpoint a longer resume can continue
-   from mid-round. *)
+   pending record and verdicts are pure functions of their cache key,
+   so the resumed trajectory — and the final coverage report — is
+   byte-identical to the uninterrupted run's, at any worker count. (A
+   tail negation may hit the cache where the original run solved live;
+   the replay equals the solve, which is exactly the cache on/off
+   invariant.) Snapshots are also taken when the iteration budget or a
+   SIGINT/SIGTERM cuts the merge short, so a budget-capped run leaves a
+   checkpoint a longer resume can continue from mid-round. *)
 
 type settings = {
   base : Driver.settings;
@@ -117,7 +121,7 @@ type done_item =
       outcome : negated_outcome;
     }
 
-(* --- telemetry (same instruments as the sequential driver) --------- *)
+(* --- telemetry ----------------------------------------------------- *)
 
 let m_iterations = Obs.Metrics.counter "driver.iterations"
 let m_restarts = Obs.Metrics.counter "driver.restarts"
@@ -131,7 +135,36 @@ let emit_restart ~iteration reason =
   Obs.Metrics.incr m_restarts;
   Obs.Sink.emit (Obs.Event.Restart { iteration; reason })
 
-(* Derive the next test from a SAT negation — the driver's input- and
+let origin_fields = function
+  | Driver.O_seed -> ("seed", -1, -1, -1, false)
+  | Driver.O_restart -> ("restart", -1, -1, -1, false)
+  | Driver.O_negated { parent; branch; index; cached } ->
+    ("negated", parent, branch, index, cached)
+  | Driver.O_schedule { parent; point; source } ->
+    (* reuse the lineage slots: index = flipped choice point, branch =
+       alternative source delivered *)
+    ("schedule", parent, source, point, false)
+
+let emit_lineage_test ~test origin =
+  if Obs.Sink.active () then begin
+    let origin, parent, branch, index, cached = origin_fields origin in
+    Obs.Sink.emit (Obs.Event.Lineage_test { test; parent; origin; branch; index; cached })
+  end
+
+let emit_lineage_negation ~(cand : Strategy.candidate) ~outcome ~cached =
+  if Obs.Sink.active () then
+    Obs.Sink.emit
+      (Obs.Event.Lineage_negation
+         {
+           parent = cand.Strategy.record.Execution.exec_id;
+           index = cand.Strategy.index;
+           (* the *negated* branch: the flipped side of the conditional *)
+           branch = Execution.branch_at cand.Strategy.record cand.Strategy.index lxor 1;
+           outcome;
+           cached;
+         })
+
+(* Derive the next test from a SAT negation — the input- and
    process-derivation step (conflict resolution included). Pure with
    respect to shared state, so workers run it. *)
 let derive (s : Driver.settings) ~cached (cand : Strategy.candidate)
@@ -200,6 +233,11 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
   let strategy =
     ref (snap_field (fun sn -> sn.Checkpoint.ck_strategy) (Driver.make_strategy s info))
   in
+  let random_baseline =
+    match s.Driver.strategy with
+    | Driver.Fixed_strategy Strategy.Random_inputs -> true
+    | Driver.Two_phase_dfs | Driver.Fixed_strategy _ | Driver.Cfg_strategy -> false
+  in
   let base_runner =
     {
       (Runner.default_config ~info) with
@@ -211,6 +249,7 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
       cap_overrides = s.Driver.cap_overrides;
       step_limit = s.Driver.step_limit;
       max_procs = s.Driver.max_procs;
+      symbolic = not random_baseline;
       (* compiled once here, then shared read-only by every worker
          domain; per-run state lives in per-run frames. Deliberately NOT
          part of the checkpoint fingerprint: the two exec modes are
@@ -336,6 +375,14 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
       Driver.make_strategy s info
   in
   let fresh_pending ~origin ~nprocs ~focus () =
+    (* the Random baseline draws the launch too: nprocs in
+       [1, nprocs_cap], focus in [0, nprocs) *)
+    let nprocs, focus =
+      if not random_baseline then (nprocs, focus)
+      else
+        let np = 1 + Random.State.int rng s.Driver.nprocs_cap in
+        (np, Random.State.int rng np)
+    in
     {
       Driver.p_inputs = Driver.random_inputs rng s program;
       p_nprocs = nprocs;
@@ -357,7 +404,7 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
       }
   in
   (* Merge one completed execution: assigns the next iteration id and
-     feeds every accumulator the sequential driver feeds. *)
+     feeds every accumulator. *)
   let merge_exec (p : Driver.pending) ~solve_s (res : exec_result) =
     let nprocs = min p.Driver.p_nprocs s.Driver.max_procs in
     let focus = min p.Driver.p_focus (nprocs - 1) in
@@ -375,7 +422,7 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
       (* assign the campaign-wide test id before the strategy observes
          the execution, so every candidate carries a valid parent *)
       r.Runner.execution.Execution.exec_id <- !iter;
-      Driver.emit_lineage_test ~test:!iter p.Driver.p_origin;
+      emit_lineage_test ~test:!iter p.Driver.p_origin;
       (* schedule enumeration: fork this run's recorded wildcard
          decisions into alternative prescriptions (POR-pruned — only
          non-prescribed choice points with >1 eligible source fork).
@@ -453,7 +500,7 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
         faults;
       Obs.Prof.time "strategy" (fun () ->
           Strategy.observe !strategy ~depth:p.Driver.p_depth r.Runner.execution);
-      (* two-phase bound derivation, exactly as in the driver *)
+      (* two-phase bound derivation (paper section II-B) *)
       (match s.Driver.strategy with
       | Driver.Two_phase_dfs when !iter + 1 = s.Driver.dfs_phase_iters ->
         let bound =
@@ -765,7 +812,7 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
                       cand.Strategy.record p
                   | None ->
                     Execution.solve_negation ~budget:s.Driver.solver_budget
-                      ~canonical:true cand.Strategy.record index)
+                      cand.Strategy.record index)
             in
             let solve_s = Unix.gettimeofday () -. t0 in
             match outcome with
@@ -816,7 +863,7 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
             | N_unknown -> Obs.Event.Unknown
             | N_sat _ -> Obs.Event.Sat
           in
-          Driver.emit_lineage_negation ~cand ~outcome:o ~cached:(not solved)
+          emit_lineage_negation ~cand ~outcome:o ~cached:(not solved)
         | W_fresh _ -> ());
         (* verdicts publish here, on the main domain at the ordered
            merge position — the cache's single-writer protocol *)

@@ -1,8 +1,12 @@
-(** Parallel campaign engine: a deterministic pipeline of concurrent
-    test execution with an in-order streaming merge.
+(** The campaign engine — the one concolic loop every campaign runs
+    through: a deterministic pipeline of concurrent test execution with
+    an in-order streaming merge.
 
-    Restructures the sequential {!Driver} loop into pipelined rounds.
-    Each round the strategy yields a batch of negation candidates (plus
+    It restructures the paper's testing loop (section II-A) into
+    pipelined rounds; at [batch = 1] and [jobs = 1] it is that loop, one
+    negation per test in DFS order ({!Variants} runs the paper's arms
+    this way). Each round the strategy yields a batch of negation
+    candidates (plus
     any queued restart tests); every item becomes one fused task —
     solve the negation if needed, derive the next test, execute it —
     published to a {!Taskpool} of persistent worker domains. The main
@@ -18,18 +22,19 @@
 
     A {!Smt.Cache} in front of the solver lives on the main domain:
     probed when a candidate is dispatched, verdict inserted when it is
-    merged — also deterministic points. Negations are solved in
-    canonical mode (see {!Smt.Solver.solve_incremental}) whether the
-    cache is on or off, so a verdict is a pure function of its cache
-    key and a hit replays exactly what a live solve would return:
+    merged — also deterministic points. A negation's verdict is a pure
+    function of its cache key (see {!Smt.Solver.solve_incremental}), so
+    a hit replays exactly what a live solve would return:
     [--solver-cache] changes solver work, never the trajectory.
-    Unknown (budget-exhausted) solver outcomes are never cached.
+    Unknown (budget-exhausted) solver outcomes are never cached. Each
+    merged execution's [solve_time] is the solve that {e produced} it
+    (0 for fresh random tests).
 
-    The per-iteration semantics differ from the sequential driver in
-    one deliberate way: the driver charges an iteration's [solve_time]
-    to deriving the {e next} test, while here each merged execution
-    carries the solve that {e produced it} (0 for fresh random tests).
-    See DESIGN.md, "Parallel campaigns".
+    With [strategy = Fixed_strategy Random_inputs] the engine runs the
+    Random baseline of Table VI: no negations, every test a fresh
+    random restart executed without symbolic instrumentation, launched
+    with a process count drawn uniformly from 1 to [nprocs_cap] and a
+    focus drawn uniformly below it.
 
     Campaigns are resumable: with [checkpoint] set, the engine writes a
     crash-safe {!Checkpoint.snapshot} every [checkpoint_every]
@@ -76,7 +81,7 @@ val default_settings : settings
     file, no ledger. *)
 
 type result = {
-  summary : Driver.result;  (** same shape the sequential driver reports *)
+  summary : Driver.result;
   rounds : int;
   executed : int;  (** test executions merged into the campaign *)
   speculated : int;
@@ -102,8 +107,12 @@ type result = {
 }
 
 val run : ?settings:settings -> ?label:string -> Minic.Branchinfo.t -> result
-(** Emits the driver's full event vocabulary plus the worker, cache and
-    checkpoint events, and feeds the same [driver.*] metrics. Raises
+(** [label] names the target in the telemetry stream (the
+    [campaign_start] event); it does not affect the campaign. With an
+    {!Obs.Sink} installed the engine emits the full event vocabulary
+    (campaign/iteration boundaries, negation attempts, restarts, faults,
+    coverage deltas, lineage, worker, cache and checkpoint events); it
+    always feeds the [driver.*] metrics. Raises
     {!Checkpoint.Load_error} when [resume] is set and the checkpoint
     cannot be used (never partially applies one). *)
 

@@ -1,11 +1,14 @@
-(** The COMPI campaign driver: iterative concolic testing.
+(** The shared campaign types: settings, per-test provenance, bugs,
+    per-iteration statistics and the summary a campaign reports, plus
+    the strategy and random-input helpers every campaign uses.
 
-    Implements the paper's testing phase (section II-A): run the
-    instrumented program, negate one path constraint according to the
-    search strategy, solve the updated set incrementally, derive the
-    next test's inputs — including the number of processes and the focus
-    process from the MPI-semantics variables — and repeat until the
-    iteration or time budget is exhausted.
+    The concolic loop itself — run the instrumented program, negate one
+    path constraint according to the search strategy, solve the updated
+    set incrementally, derive the next test's inputs (including the
+    number of processes and the focus process from the MPI-semantics
+    variables) and repeat until the iteration or time budget is
+    exhausted (paper section II-A) — is {!Campaign.run}; {!Variants}
+    maps the paper's experiment arms onto it.
 
     The default strategy is the paper's two-phase scheme (section II-B):
     pure DFS for the first [dfs_phase_iters] iterations to observe the
@@ -14,7 +17,9 @@
 
     Ablation switches reproduce the paper's baselines: [reduce] (Table
     V), [two_way] (Table IV), [framework] (No_Fwk of Table VI),
-    [strategy] (Figure 4), [cap_overrides] (Figures 6 and 8). *)
+    [strategy] (Figure 4, and the Random baseline of Table VI through
+    {!Concolic.Strategy.Random_inputs}), [cap_overrides] (Figures 6 and
+    8). *)
 
 type strategy_choice =
   | Two_phase_dfs
@@ -38,7 +43,7 @@ type settings = {
   cap_overrides : (string * int) list;
   max_procs : int;
   solver_budget : int;
-  max_solve_attempts : int;  (** failed negations per iteration before a restart *)
+  max_solve_attempts : int;  (** consecutive failed negations before a restart *)
   random_lo : int;  (** random-value range for unmarked bounds *)
   random_hi : int;
   stagnation_restart : int option;
@@ -56,8 +61,7 @@ type settings = {
       (** explore the schedule dimension: runs execute in schedule mode
           (wildcard receives served at quiescence under a prescription)
           and the campaign enumerates POR-pruned alternative match
-          orders alongside input negations. Campaign-only; the
-          sequential driver ignores it. *)
+          orders alongside input negations *)
   schedule_depth : int;
       (** only the first [schedule_depth] wildcard choice points of a
           run may fork alternative schedules — the schedule-space
@@ -141,31 +145,14 @@ type pending = {
       (** wildcard-match prescription to run under ([[]]: default
           arrival order at every choice point) *)
 }
-(** What the next test should run with — the unit of work the parallel
-    campaign engine ({!Campaign}) queues and executes. *)
-
-val emit_lineage_test : test:int -> origin -> unit
-(** Emit the [lineage_test] event for a merged test case (no-op without
-    an active sink). Shared with {!Campaign}. *)
-
-val emit_lineage_negation :
-  cand:Concolic.Strategy.candidate -> outcome:Obs.Event.solver_outcome -> cached:bool -> unit
-(** Emit the [lineage_negation] event for one negation attempt against
-    [cand] (no-op without an active sink). Shared with {!Campaign}. *)
+(** What the next test should run with — the unit of work the campaign
+    engine ({!Campaign}) queues and executes. *)
 
 val make_strategy : settings -> Minic.Branchinfo.t -> Concolic.Strategy.t
 (** The strategy the settings select (phase one of the two-phase scheme
-    when [strategy = Two_phase_dfs]). Shared with {!Campaign}. *)
-
-val run : ?settings:settings -> ?label:string -> Minic.Branchinfo.t -> result
-(** [label] names the target in the telemetry stream (the
-    [campaign_start] event); it does not affect the campaign. When an
-    {!Obs.Sink} is installed the driver emits the full event vocabulary
-    (campaign/iteration boundaries, negation attempts, restarts, faults,
-    coverage deltas) and always feeds the [driver.*] metrics and the
-    [exec]/[solve]/[strategy]/[report] phase timers. *)
+    when [strategy = Two_phase_dfs]). *)
 
 val random_inputs :
   Random.State.t -> settings -> Minic.Ast.program -> (string * int) list
-(** The random input generator (also used by the Random baseline):
-    uniform within each marked input's capped range. *)
+(** The random input generator for seed and restart tests: uniform
+    within each marked input's capped range. *)

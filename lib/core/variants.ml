@@ -5,6 +5,7 @@ type t =
   | One_way
   | No_framework
   | Strategy_of of Concolic.Strategy.kind
+  | Random
 
 let name = function
   | Compi_default -> "compi"
@@ -18,7 +19,9 @@ let name = function
     | Concolic.Strategy.Random_branch -> "random-branch"
     | Concolic.Strategy.Uniform_random -> "uniform-random"
     | Concolic.Strategy.Cfg_directed _ -> "cfg"
-    | Concolic.Strategy.Generational b -> Printf.sprintf "generational(%d)" b)
+    | Concolic.Strategy.Generational b -> Printf.sprintf "generational(%d)" b
+    | Concolic.Strategy.Random_inputs -> "random")
+  | Random -> "random"
 
 let apply t (settings : Driver.settings) =
   match t with
@@ -40,5 +43,11 @@ let apply t (settings : Driver.settings) =
   | One_way -> { settings with Driver.two_way = false }
   | No_framework -> { settings with Driver.framework = false }
   | Strategy_of kind -> { settings with Driver.strategy = Driver.Fixed_strategy kind }
+  | Random ->
+    { settings with Driver.strategy = Driver.Fixed_strategy Concolic.Strategy.Random_inputs }
 
-let run t ~settings info = Driver.run ~settings:(apply t settings) info
+let settings t base =
+  { Campaign.default_settings with Campaign.base = apply t base; jobs = 1; batch = 1 }
+
+let run ?label t ~settings:base info =
+  (Campaign.run ~settings:(settings t base) ?label info).Campaign.summary

@@ -12,10 +12,9 @@
    without touching the solver; the replayed model satisfies the set by
    construction even when the current run's concrete inputs differ.
    For the replay to equal what a live solve would have returned, the
-   cached verdict must itself be a pure function of the key — solve in
-   canonical mode (Solver.solve_incremental ~canonical:true), which
-   drops the prefer-previous-values heuristic whose input (the run's
-   concrete model) is deliberately not part of the key.
+   cached verdict must itself be a pure function of the key — which
+   Solver.solve_incremental guarantees: it never consults the run's
+   concrete model, which is deliberately not part of the key.
    Unknown outcomes (budget exhaustion) are never cached: a later
    attempt under the same budget is equally cheap to re-refuse, and a
    raised budget should get its chance.

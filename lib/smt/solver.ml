@@ -96,11 +96,11 @@ let model_of_doms st active =
 let holds_all m cs =
   List.for_all (Constr.holds (Model.lookup_fn ~default:0 m)) cs
 
-(* Complete search: try preferred value and both endpoints of the chosen
-   variable, then split the remaining interval. Each step strictly
-   shrinks a domain, so the search terminates; [budget] bounds it.
-   [nodes] reports the nodes actually expended to the telemetry layer. *)
-let search ~budget ~nodes ~prefer cs doms0 active =
+(* Complete search: try zero and both endpoints of the chosen variable,
+   then split the remaining interval. Each step strictly shrinks a
+   domain, so the search terminates; [budget] bounds it. [nodes]
+   reports the nodes actually expended to the telemetry layer. *)
+let search ~budget ~nodes cs doms0 active =
   let remaining = ref budget in
   let pick st =
     let best = ref None in
@@ -135,20 +135,11 @@ let search ~budget ~nodes ~prefer cs doms0 active =
       go st'
     in
     let candidates =
-      let pref =
-        match Model.find v prefer with
-        | Some x when Domain.mem x d -> [ x ]
-        | Some _ | None -> []
-      in
       let base = [ d.Domain.lo; d.Domain.hi ] in
       let zero = if Domain.mem 0 d then [ 0 ] else [] in
-      List.sort_uniq Int.compare (pref @ zero @ base)
-      |> List.sort (fun a b ->
-             (* preferred first, then magnitude order for stable small values *)
-             let score x =
-               if List.mem x pref then (0, 0) else (1, abs x)
-             in
-             Stdlib.compare (score a) (score b))
+      (* magnitude order, for stable small values *)
+      List.sort_uniq Int.compare (zero @ base)
+      |> List.sort (fun a b -> Int.compare (abs a) (abs b))
     in
     let rec try_candidates = function
       | [] -> split_rest ()
@@ -179,7 +170,7 @@ let search ~budget ~nodes ~prefer cs doms0 active =
   in
   go { doms = doms0; dirty = false }
 
-let solve_raw ~budget ~domains ~prefer ~nodes cs =
+let solve_raw ~budget ~domains ~nodes cs =
   (* Normalize: drop trivially-true constraints, fail fast on trivially
      false ones, and divide every remaining constraint by its coefficient
      gcd (tightening integer bounds and deciding divisibility). *)
@@ -200,7 +191,7 @@ let solve_raw ~budget ~domains ~prefer ~nodes cs =
     in
     if Varid.Set.is_empty active then Sat Model.empty
     else
-      match search ~budget ~nodes ~prefer cs domains active with
+      match search ~budget ~nodes cs domains active with
       | Some m -> Sat m
       | None -> Unsat
       | exception Exhausted -> Unknown)
@@ -259,9 +250,8 @@ let instrumented ~incremental cs f =
          });
   outcome
 
-let solve ?(budget = default_budget) ?(domains = Varid.Map.empty) ?(prefer = Model.empty) cs =
-  instrumented ~incremental:false cs (fun nodes ->
-      solve_raw ~budget ~domains ~prefer ~nodes cs)
+let solve ?(budget = default_budget) ?(domains = Varid.Map.empty) cs =
+  instrumented ~incremental:false cs (fun nodes -> solve_raw ~budget ~domains ~nodes cs)
 
 type incremental_result = {
   model : Model.t;
@@ -293,25 +283,17 @@ let finish_incremental ~prev ~vars outcome =
         changed;
       }
 
-let solve_incremental ?(budget = default_budget) ?(domains = Varid.Map.empty)
-    ?(canonical = false) ~prev ~target cs =
-  let closure, vars = Constr.dependency_closure ~seed:(Constr.vars target) cs in
-  (* In canonical mode the solve must be a pure function of the closure
-     as a set plus [domains] — the identity a solver cache keys on — so
-     the closure is sorted/deduplicated and [prev] is not offered to the
-     value search (it still anchors the merge and the [changed] diff). *)
-  let closure = if canonical then List.sort_uniq Constr.compare closure else closure in
-  let prefer = if canonical then Model.empty else prev in
-  instrumented ~incremental:true closure (fun nodes ->
-      solve_raw ~budget ~domains ~prefer ~nodes closure)
-  |> finish_incremental ~prev ~vars
-
 let solve_prepared ?(budget = default_budget) ?(domains = Varid.Map.empty) ~prev
     ~closure ~vars () =
-  (* The canonical-mode tail of [solve_incremental] for a caller that
-     already holds the sorted, deduplicated dependency closure and its
-     variable set (e.g. from building a cache key): same verdict, no
-     second closure computation or sort. *)
   instrumented ~incremental:true closure (fun nodes ->
-      solve_raw ~budget ~domains ~prefer:Model.empty ~nodes closure)
+      solve_raw ~budget ~domains ~nodes closure)
   |> finish_incremental ~prev ~vars
+
+let solve_incremental ?budget ?domains ~prev ~target cs =
+  let closure, vars = Constr.dependency_closure ~seed:(Constr.vars target) cs in
+  (* The solve must be a pure function of the closure as a set plus
+     [domains] — the identity a solver cache keys on — so the closure is
+     sorted/deduplicated and [prev] is not offered to the value search
+     (it only anchors the merge and the [changed] diff). *)
+  solve_prepared ?budget ?domains ~prev ~closure:(List.sort_uniq Constr.compare closure)
+    ~vars ()

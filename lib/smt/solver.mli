@@ -19,16 +19,10 @@ type outcome =
 
 val default_budget : int
 
-val solve :
-  ?budget:int ->
-  ?domains:Domain.t Varid.Map.t ->
-  ?prefer:Model.t ->
-  Constr.t list ->
-  outcome
+val solve : ?budget:int -> ?domains:Domain.t Varid.Map.t -> Constr.t list -> outcome
 (** [solve cs] finds a model of [cs] over the variables appearing in
     [cs]. [domains] supplies per-variable intervals (default
-    {!Domain.full}); [prefer] biases the search to keep previous values
-    when possible. The returned model binds exactly the variables of
+    {!Domain.full}). The returned model binds exactly the variables of
     [cs]. *)
 
 type incremental_result = {
@@ -46,7 +40,6 @@ type incremental_result = {
 val solve_incremental :
   ?budget:int ->
   ?domains:Domain.t Varid.Map.t ->
-  ?canonical:bool ->
   prev:Model.t ->
   target:Constr.t ->
   Constr.t list ->
@@ -57,14 +50,12 @@ val solve_incremental :
     constraints). Variables outside the closure keep their binding in
     [prev].
 
-    By default the search prefers the bindings in [prev] (CREST's
-    keep-previous-values heuristic), so the model found depends on
-    [prev]. With [~canonical:true] the closure is canonicalized
-    (sorted, deduplicated) and solved with {e no} preference model: the
-    verdict and the [fresh] bindings are then a pure function of the
-    closure set and [domains] — the invariant {!Cache} replay relies
-    on. [prev] still supplies the values of out-of-closure variables in
-    [model] and the baseline for [changed]. *)
+    The closure is canonicalized (sorted, deduplicated) and solved
+    without looking at [prev]: the verdict and the [fresh] bindings are
+    a pure function of the closure set and [domains] — the invariant
+    {!Cache} replay relies on. [prev] supplies the values of
+    out-of-closure variables in [model] and the baseline for
+    [changed]. *)
 
 val solve_prepared :
   ?budget:int ->
@@ -74,14 +65,13 @@ val solve_prepared :
   vars:Varid.Set.t ->
   unit ->
   (incremental_result, [ `Unsat | `Unknown ]) Stdlib.result
-(** Exactly [solve_incremental ~canonical:true], for a caller that has
-    already computed the canonical closure and its variable set — e.g.
-    while building the {!Cache} key for the same solve. [closure] must
-    be the sorted, deduplicated dependency closure of the negated
-    constraint ({!Cache.key_constrs} of its key) and [vars] the
-    variables that closure mentions; given those, the verdict is
-    identical to the canonical entry point's, with no second closure
-    traversal or sort. The cache-on campaign path uses this so a miss
+(** Exactly {!solve_incremental}, for a caller that has already
+    computed the canonical closure and its variable set — e.g. while
+    building the {!Cache} key for the same solve. [closure] must be the
+    sorted, deduplicated dependency closure of the negated constraint
+    ({!Cache.key_constrs} of its key) and [vars] the variables that
+    closure mentions; given those, the verdict is identical to
+    {!solve_incremental}'s, with no second closure traversal or sort. The cache-on campaign path uses this so a miss
     costs one canonicalization, not two. *)
 
 val holds_all : Model.t -> Constr.t list -> bool

@@ -114,9 +114,9 @@ let exec_record ?(cx = 3) ?(cy = 4) () =
 let test_apply_cached_matches_solver () =
   let t = exec_record () in
   let i = 1 in
-  (* negate y > x; canonical mode — the only mode whose verdicts may be
-     cached, because only there is the model a pure function of the key *)
-  match Concolic.Execution.solve_negation ~canonical:true t i with
+  (* negate y > x; the verdict may be cached because the model is a pure
+     function of the key *)
+  match Concolic.Execution.solve_negation t i with
   | Error _ -> Alcotest.fail "negation should be satisfiable"
   | Ok live ->
     let cache = Cache.create () in
@@ -142,26 +142,26 @@ let test_apply_cached_matches_solver () =
           (Varid.Set.equal live.Solver.changed replayed.Solver.changed))
     | None -> Alcotest.fail "key must round-trip to a hit")
 
-(* The soundness hole canonical mode closes: a verdict cached under one
-   run must replay, in a run with *different* concrete inputs, the exact
-   result that run's own live solve would produce — this is what makes
-   campaigns cache-on/off invariant. With the prefer-previous-values
-   heuristic this fails: the model would track whichever run happened to
-   solve first, and the heuristic's input is (deliberately) not part of
-   the key. *)
+(* A verdict cached under one run must replay, in a run with
+   *different* concrete inputs, the exact result that run's own live
+   solve would produce — this is what makes campaigns cache-on/off
+   invariant. A solver that consulted the run's concrete model would
+   fail this: the model would track whichever run happened to solve
+   first, and the concrete model is (deliberately) not part of the
+   key. *)
 let test_replay_pure_across_runs () =
   let a = exec_record ~cx:3 ~cy:4 () in
   let b = exec_record ~cx:1 ~cy:9 () in
   let i = 1 in
   let cache = Cache.create () in
-  (match Concolic.Execution.solve_negation ~canonical:true a i with
+  (match Concolic.Execution.solve_negation a i with
   | Error _ -> Alcotest.fail "negation satisfiable under run A"
   | Ok live_a ->
     Cache.add cache
       (Concolic.Execution.negation_key a i)
       (Cache.Sat live_a.Solver.fresh));
   let live_b =
-    match Concolic.Execution.solve_negation ~canonical:true b i with
+    match Concolic.Execution.solve_negation b i with
     | Error _ -> Alcotest.fail "negation satisfiable under run B"
     | Ok r -> r
   in

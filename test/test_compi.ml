@@ -1,6 +1,7 @@
 (* Tests for the COMPI framework: inherent MPI-semantics constraints,
    conflict resolution (the paper's Figure 5 scenario), the test runner
-   (two-way instrumentation, all-recorders), and the campaign driver. *)
+   (two-way instrumentation, all-recorders), and campaigns run through
+   the paper arms. *)
 
 open Concolic
 
@@ -217,7 +218,7 @@ let test_runner_inputs_respected () =
     Alcotest.(check bool) "no faults" true (Compi.Runner.faults res = [])
 
 (* ------------------------------------------------------------------ *)
-(* Driver end-to-end                                                   *)
+(* Campaigns end-to-end (paper arms)                                  *)
 (* ------------------------------------------------------------------ *)
 
 let quick_settings iters =
@@ -231,7 +232,7 @@ let quick_settings iters =
 
 let test_driver_full_coverage_fig1 () =
   let info = Targets.Registry.instrument Targets.Toy.fig1 in
-  let r = Compi.Driver.run ~settings:(quick_settings 30) info in
+  let r = Compi.Variants.(run Compi_default) ~settings:(quick_settings 30) info in
   Alcotest.(check int) "100%% of fig1" 4 r.Compi.Driver.covered_branches;
   (* every bug carries the focus's failure context, ending at the buggy
      conditional's true side (cond 0, x == 100) *)
@@ -252,17 +253,41 @@ let test_driver_full_coverage_fig1 () =
 
 let test_driver_beats_random_on_fig2 () =
   let info = Lazy.force fig2_info in
-  let compi = Compi.Driver.run ~settings:(quick_settings 60) info in
-  let random = Compi.Random_testing.run ~settings:(quick_settings 60) info in
+  let compi = Compi.Variants.(run Compi_default) ~settings:(quick_settings 60) info in
+  let random = Compi.Variants.(run Random) ~settings:(quick_settings 60) info in
   Alcotest.(check bool) "compi >= random coverage" true
     (compi.Compi.Driver.covered_branches >= random.Compi.Driver.covered_branches);
   Alcotest.(check bool) "compi nearly complete" true
     (compi.Compi.Driver.covered_branches >= 14)
 
+let test_random_arm_draws_launches () =
+  (* the Random baseline never solves, and every test draws its process
+     count from [1, nprocs_cap] *)
+  let info = Lazy.force fig2_info in
+  let base = { (quick_settings 60) with Compi.Driver.nprocs_cap = 6 } in
+  let settings = Compi.Variants.settings Compi.Variants.Random base in
+  let r = Compi.Campaign.run ~settings info in
+  Alcotest.(check int) "no solver calls" 0 r.Compi.Campaign.solver_calls;
+  let stats = r.Compi.Campaign.summary.Compi.Driver.stats in
+  Alcotest.(check int) "every iteration ran" 60 (List.length stats);
+  List.iter
+    (fun (st : Compi.Driver.iter_stat) ->
+      let np = st.Compi.Driver.nprocs in
+      if np < 1 || np > 6 then Alcotest.failf "nprocs %d outside [1, 6]" np;
+      if st.Compi.Driver.focus < 0 || st.Compi.Driver.focus >= np then
+        Alcotest.failf "focus %d outside [0, %d)" st.Compi.Driver.focus np;
+      Alcotest.(check int) "no constraints logged" 0 st.Compi.Driver.constraint_set_size)
+    stats;
+  Alcotest.(check bool) "several launches drawn" true
+    (List.length
+       (List.sort_uniq Int.compare
+          (List.map (fun (st : Compi.Driver.iter_stat) -> st.Compi.Driver.nprocs) stats))
+    > 1)
+
 let test_driver_framework_varies_focus () =
   (* fig2 branches on rank: negating rank = 0 must shift the focus *)
   let info = Lazy.force fig2_info in
-  let r = Compi.Driver.run ~settings:(quick_settings 60) info in
+  let r = Compi.Variants.(run Compi_default) ~settings:(quick_settings 60) info in
   let focus_seen =
     List.sort_uniq Int.compare
       (List.map (fun (s : Compi.Driver.iter_stat) -> s.Compi.Driver.focus) r.Compi.Driver.stats)
@@ -274,7 +299,7 @@ let test_driver_framework_varies_nprocs () =
      the framework must end up varying the process count *)
   let info = Targets.Registry.instrument Targets.Susy_hmc.target in
   let settings = { (quick_settings 120) with Compi.Driver.dfs_phase_iters = 30 } in
-  let r = Compi.Driver.run ~settings info in
+  let r = Compi.Variants.(run Compi_default) ~settings info in
   let nprocs_seen =
     List.sort_uniq Int.compare
       (List.map (fun (s : Compi.Driver.iter_stat) -> s.Compi.Driver.nprocs) r.Compi.Driver.stats)
@@ -284,7 +309,7 @@ let test_driver_framework_varies_nprocs () =
 let test_driver_no_fwk_fixed_nprocs () =
   let info = Lazy.force fig2_info in
   let settings = { (quick_settings 40) with Compi.Driver.framework = false } in
-  let r = Compi.Driver.run ~settings info in
+  let r = Compi.Variants.(run Compi_default) ~settings info in
   let nprocs_seen =
     List.sort_uniq Int.compare
       (List.map (fun (s : Compi.Driver.iter_stat) -> s.Compi.Driver.nprocs) r.Compi.Driver.stats)
@@ -293,7 +318,7 @@ let test_driver_no_fwk_fixed_nprocs () =
 
 let test_driver_two_phase_derives_bound () =
   let info = Lazy.force fig2_info in
-  let r = Compi.Driver.run ~settings:(quick_settings 20) info in
+  let r = Compi.Variants.(run Compi_default) ~settings:(quick_settings 20) info in
   match r.Compi.Driver.derived_bound with
   | Some b -> Alcotest.(check bool) "bound above observed max" true (b > r.Compi.Driver.max_constraint_set / 2)
   | None -> Alcotest.fail "two-phase should derive a bound"
@@ -304,14 +329,14 @@ let test_driver_time_budget_respected () =
     { (quick_settings max_int) with Compi.Driver.time_budget = Some 0.5; iterations = max_int }
   in
   let t0 = Unix.gettimeofday () in
-  let r = Compi.Driver.run ~settings info in
+  let r = Compi.Variants.(run Compi_default) ~settings info in
   let elapsed = Unix.gettimeofday () -. t0 in
   Alcotest.(check bool) "stopped within ~3x budget" true (elapsed < 1.5);
   Alcotest.(check bool) "ran some iterations" true (r.Compi.Driver.iterations_run > 0)
 
 let test_driver_distinct_bugs_dedupe () =
   let info = Targets.Registry.instrument Targets.Toy.fig1 in
-  let r = Compi.Driver.run ~settings:(quick_settings 30) info in
+  let r = Compi.Variants.(run Compi_default) ~settings:(quick_settings 30) info in
   let distinct = Compi.Driver.distinct_bugs r in
   let keys = List.map Compi.Driver.bug_key distinct in
   Alcotest.(check int) "unique keys" (List.length keys)
@@ -357,7 +382,7 @@ let test_focus_shift_end_to_end () =
 
 let test_driver_deterministic_given_seed () =
   let info = Lazy.force fig2_info in
-  let run () = Compi.Driver.run ~settings:(quick_settings 40) info in
+  let run () = Compi.Variants.(run Compi_default) ~settings:(quick_settings 40) info in
   let a = run () and b = run () in
   Alcotest.(check int) "same coverage" a.Compi.Driver.covered_branches
     b.Compi.Driver.covered_branches;
@@ -467,7 +492,7 @@ let test_testcase_replay_reproduces_bug () =
 
 let test_report_uncovered_and_annotate () =
   let info = Lazy.force fig2_info in
-  let r = Compi.Driver.run ~settings:(quick_settings 60) info in
+  let r = Compi.Variants.(run Compi_default) ~settings:(quick_settings 60) info in
   let misses = Compi.Report.uncovered info r.Compi.Driver.coverage in
   (* fig2's [total > 0] false side is infeasible (sanity forces x > 0),
      so exactly that branch remains *)
@@ -509,7 +534,7 @@ let test_runner_reports_leaks () =
 
 let test_report_outputs () =
   let info = Targets.Registry.instrument Targets.Toy.fig1 in
-  let r = Compi.Driver.run ~settings:(quick_settings 20) info in
+  let r = Compi.Variants.(run Compi_default) ~settings:(quick_settings 20) info in
   let csv = Compi.Report.stats_csv r in
   Alcotest.(check bool) "csv has header + rows" true
     (List.length (String.split_on_char '\n' csv) > r.Compi.Driver.iterations_run);
@@ -543,6 +568,7 @@ let unit_tests =
     ("runner inputs respected", `Quick, test_runner_inputs_respected);
     ("driver fig1 complete + bug", `Quick, test_driver_full_coverage_fig1);
     ("driver beats random (fig2)", `Quick, test_driver_beats_random_on_fig2);
+    ("random arm draws launches", `Quick, test_random_arm_draws_launches);
     ("driver varies focus", `Quick, test_driver_framework_varies_focus);
     ("driver varies nprocs", `Quick, test_driver_framework_varies_nprocs);
     ("driver No_Fwk fixed nprocs", `Quick, test_driver_no_fwk_fixed_nprocs);

@@ -323,7 +323,7 @@ let toy_result () =
   let settings =
     { Compi.Driver.default_settings with Compi.Driver.iterations = 30; seed = 7 }
   in
-  Compi.Driver.run ~settings info
+  Compi.Variants.(run Compi_default) ~settings info
 
 (* Everything observable about a result except wall-clock times. *)
 let fingerprint (r : Compi.Driver.result) =

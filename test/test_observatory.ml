@@ -198,7 +198,7 @@ let test_lineage_invariants () =
           Alcotest.failf "branch %d first test %d missing from lineage"
             s.Obs.Fold.br_branch s.Obs.Fold.br_first_test)
     f.Obs.Fold.branches;
-  (* the sequential driver threads the same provenance *)
+  (* a paper arm (one job, batch 1) threads the same provenance *)
   let buf = Buffer.create 65536 in
   let info = heat2d () in
   let settings =
@@ -212,10 +212,10 @@ let test_lineage_invariants () =
   in
   ignore
     (Obs.Sink.with_sink (Obs.Sink.Buffer_sink buf) (fun () ->
-         Compi.Driver.run ~settings ~label:"heat2d" info));
+         Compi.Variants.(run ~label:"heat2d" Compi_default) ~settings info));
   let fd = Obs.Fold.of_lines (String.split_on_char '\n' (Buffer.contents buf)) in
-  Alcotest.(check (list string)) "driver lineage sound" [] (Obs.Fold.lineage_errors fd);
-  Alcotest.(check bool) "driver produced lineage" true (fd.Obs.Fold.lineage <> [])
+  Alcotest.(check (list string)) "paper-arm lineage sound" [] (Obs.Fold.lineage_errors fd);
+  Alcotest.(check bool) "paper arm produced lineage" true (fd.Obs.Fold.lineage <> [])
 
 (* ------------------------------------------------------------------ *)
 (* deadlock witness: the edges name the wait-for cycle                 *)

@@ -97,30 +97,38 @@ let test_cache_invariance () =
     "cache reduces solver calls" true
     (on.Compi.Campaign.solver_calls < off.Compi.Campaign.solver_calls)
 
-let test_matches_reference_coverage () =
-  (* the engine must find what the sequential driver finds: same final
-     coverage on the toy target (trajectories differ by design — the
-     driver interleaves, the engine batches — but toy-fig1 saturates) *)
-  let seq =
-    Compi.Driver.run
-      ~settings:
-        {
-          Compi.Driver.default_settings with
-          Compi.Driver.iterations = 60;
-          dfs_phase_iters = 12;
-          initial_nprocs = 2;
-          seed = 11;
-        }
-      (toy ())
+let test_paper_arms_invariance () =
+  (* the paper's experiment arms run the same engine at batch 1: their
+     reports must not depend on the worker count or the solver cache *)
+  let info = Targets.Registry.instrument (Targets.Catalog.find_exn "toy-fig2") in
+  let base =
+    {
+      Compi.Driver.default_settings with
+      Compi.Driver.iterations = 60;
+      dfs_phase_iters = 12;
+      initial_nprocs = 2;
+      seed = 11;
+    }
   in
-  let par = campaign ~jobs:2 (toy ()) in
-  Alcotest.(check int)
-    "same covered branches" seq.Compi.Driver.covered_branches
-    par.Compi.Campaign.summary.Compi.Driver.covered_branches;
-  Alcotest.(check bool)
-    "both find the planted bug" true
-    (Compi.Driver.distinct_bugs seq <> []
-    && Compi.Driver.distinct_bugs par.Compi.Campaign.summary <> [])
+  List.iter
+    (fun arm ->
+      let report ~jobs ~cache =
+        let settings =
+          {
+            (Compi.Variants.settings arm base) with
+            Compi.Campaign.jobs;
+            solver_cache = cache;
+          }
+        in
+        Compi.Campaign.coverage_report (Compi.Campaign.run ~settings info)
+      in
+      let reference = report ~jobs:1 ~cache:true in
+      let name = Compi.Variants.name arm in
+      Alcotest.(check string)
+        (name ^ ": jobs 2 equals jobs 1") reference (report ~jobs:2 ~cache:true);
+      Alcotest.(check string)
+        (name ^ ": cache off equals cache on") reference (report ~jobs:1 ~cache:false))
+    Compi.Variants.[ Compi_default; No_framework; Random ]
 
 let test_budget_respected () =
   let r = campaign ~jobs:4 ~iterations:25 ~batch:6 (susy ()) in
@@ -193,8 +201,8 @@ let suite =
         Alcotest.test_case "jobs invariance (examples corpus)" `Quick
           test_jobs_invariance_corpus;
         Alcotest.test_case "cache invariance + savings" `Quick test_cache_invariance;
-        Alcotest.test_case "coverage parity with the driver" `Quick
-          test_matches_reference_coverage;
+        Alcotest.test_case "paper arms: jobs and cache invariance" `Quick
+          test_paper_arms_invariance;
         Alcotest.test_case "iteration budget respected" `Quick test_budget_respected;
       ] );
     ( "parallel:taskpool",

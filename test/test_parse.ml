@@ -294,7 +294,7 @@ let campaign_on src ~iterations =
       seed = 9;
     }
   in
-  Compi.Driver.run ~settings info
+  Compi.Variants.(run Compi_default) ~settings info
 
 let test_corpus () =
   match corpus_dir with

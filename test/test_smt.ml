@@ -322,13 +322,6 @@ let test_solver_disequality () =
   check_unsat ~doms "x=5 dom & x<>5"
     [ Constr.cmp (Linexp.var 0) Constr.Ne (Linexp.const 5) ]
 
-let test_solver_prefers_previous () =
-  let prefer = Model.of_bindings [ (0, 42) ] in
-  let cs = [ Constr.cmp (Linexp.var 0) Constr.Ge (Linexp.const 10) ] in
-  match Solver.solve ~prefer cs with
-  | Solver.Sat m -> Alcotest.(check (option int)) "kept 42" (Some 42) (Model.find 0 m)
-  | Solver.Unsat | Solver.Unknown -> Alcotest.fail "should be sat"
-
 let test_solver_caps_as_domains () =
   (* Input capping: x <= 300 as a domain bound plus x >= 250. *)
   let doms = Varid.Map.singleton 0 (Domain.make ~lo:0 ~hi:300) in
@@ -428,21 +421,6 @@ let test_solver_equality_and_strict_chain () =
   Alcotest.(check (option int)) "x" (Some 1) (Model.find 0 m);
   Alcotest.(check (option int)) "y" (Some 2) (Model.find 1 m);
   Alcotest.(check (option int)) "z" (Some 3) (Model.find 2 m)
-
-let prop_prefer_stable =
-  (* if the previous model already satisfies the set, the solver keeps it *)
-  QCheck.Test.make ~name:"solver: satisfied prefer model is kept" ~count:200
-    (QCheck.make
-       QCheck.Gen.(
-         let* x = int_range (-50) 50 in
-         let* k = int_range (-50) 50 in
-         return (x, k)))
-    (fun (x, k) ->
-      let c = Constr.cmp (Linexp.var 0) Constr.Ge (Linexp.const k) in
-      let prefer = Model.of_bindings [ (0, x) ] in
-      match Solver.solve ~prefer [ c ] with
-      | Solver.Sat m -> if x >= k then Model.find 0 m = Some x else true
-      | Solver.Unsat | Solver.Unknown -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Property tests                                                      *)
@@ -582,7 +560,6 @@ let unit_tests =
     ("solver ordering chain", `Quick, test_solver_chain);
     ("solver equality system", `Quick, test_solver_equalities_system);
     ("solver disequality", `Quick, test_solver_disequality);
-    ("solver prefers previous", `Quick, test_solver_prefers_previous);
     ("solver caps as domains", `Quick, test_solver_caps_as_domains);
     ("solver incremental stale", `Quick, test_solver_incremental_stale);
     ("solver incremental unsat", `Quick, test_solver_incremental_unsat);
@@ -601,7 +578,6 @@ let property_tests =
       prop_negate_flips;
       prop_linexp_eval_homomorphic;
       prop_incremental_preserves_untouched;
-      prop_prefer_stable;
       prop_normalize_preserves_solutions;
     ]
 

@@ -234,7 +234,7 @@ let test_unreachable_functions_stay_dead () =
         step_limit = t.Targets.Registry.tuning.Targets.Registry.step_limit;
       }
     in
-    let r = Compi.Driver.run ~settings info in
+    let r = Compi.Variants.(run Compi_default) ~settings info in
     Alcotest.(check bool)
       (Printf.sprintf "%s.%s unreachable" name func)
       false
@@ -258,7 +258,7 @@ let test_bug_replay_via_testcase () =
       seed = 5;
     }
   in
-  let r = Compi.Driver.run ~settings info in
+  let r = Compi.Variants.(run Compi_default) ~settings info in
   let bugs = Compi.Driver.distinct_bugs r in
   Alcotest.(check bool) "found at least one bug" true (bugs <> []);
   List.iter
@@ -297,7 +297,7 @@ let test_npb_cg_clean_and_class_verification () =
       step_limit = 4_000_000;
     }
   in
-  let r = Compi.Driver.run ~settings info in
+  let r = Compi.Variants.(run Compi_default) ~settings info in
   Alcotest.(check int) "no defects" 0 (List.length (Compi.Driver.distinct_bugs r));
   Alcotest.(check bool) "good coverage" true (r.Compi.Driver.coverage_rate > 0.6)
 
