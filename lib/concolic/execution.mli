@@ -6,6 +6,12 @@
     constraint set (inherent MPI-semantics constraints plus any campaign
     caps) that must hold in every solve. *)
 
+type index
+(** The run's closure index: a time-stamped union-find over the
+    variables of [extra] and the path, plus canonical ranks of the
+    run's constraints and their negations. Int arrays only; built by
+    the first {!prepare_negation} on the record and immutable after. *)
+
 type t = {
   constraints : (int * Smt.Constr.t) array;
       (** [(branch_id, constraint)] in path order *)
@@ -26,6 +32,11 @@ type t = {
           mode). Input-negation candidates derived from this run replay
           the same prescription, so the (input, schedule) pair stays a
           coherent test identity. *)
+  mutable closure_index : index option;
+      (** [None] until the first {!prepare_negation} on this record
+          builds it. It describes [constraints] and [extra]: a copy of a
+          record with other constraints must start from [None]. Built
+          and read on one domain only (the campaign's main domain). *)
 }
 
 val length : t -> int
@@ -40,33 +51,40 @@ val solve_negation :
   ?budget:int -> t -> int -> (Smt.Solver.incremental_result, [ `Unsat | `Unknown ]) result
 (** [solve_negation t i] negates the constraint at position [i], keeps
     the path prefix before it plus [t.extra], and solves incrementally
-    against the run's model (CREST's input-derivation step). The verdict
-    and [fresh] bindings are a pure function of {!negation_key}, so the
-    result may be cached and replayed into a different run. *)
+    against the run's model (CREST's input-derivation step). It is
+    [solve_prepared t (prepare_negation t i)]. The verdict and [fresh]
+    bindings are a pure function of {!negation_key}, so the result may
+    be cached and replayed into a different run. *)
 
 type prepared
-(** The canonical identity of one negation solve, computed once: the
-    {!Smt.Cache.key} plus the dependency closure's variable set. The
-    closure walk and canonicalizing sort dominate the cost of the cheap
-    incremental solves, so the cache-on campaign path prepares each
-    candidate once and derives the probe, the miss solve, and the hit
-    replay from the same value instead of recomputing the closure for
-    each. *)
+(** The canonical identity of one negation solve: the {!Smt.Cache.key}
+    plus the dependency closure's variable set. The campaign prepares
+    every candidate once, at dispatch, and derives the probe, the miss
+    solve and the hit replay from this one value. *)
 
 val prepare_negation : t -> int -> prepared
-(** Negate the constraint at position [i], take the dependency closure
+(** Negate the constraint at position [i], take its dependency closure
     within the path prefix plus [t.extra], and canonicalize it with the
-    run's domains. *)
+    run's domains. The closure is read from the record's closure index
+    (built on the first call) rather than by a fixpoint: the key is
+    equal, with the same hash, to [Smt.Cache.key ~domains:t.domains
+    closure], and its variables are [vars], for [(closure, vars) =
+    Smt.Constr.dependency_closure ~seed:(vars c_i) (negate c_i :: prefix
+    t i @ t.extra)]. A constraint without variables has an empty
+    closure. Cost per call is linear in [i] and in the run's distinct
+    constraints, with no set unions and no constraint comparisons. *)
 
 val prepared_key : prepared -> Smt.Cache.key
+
+val prepared_vars : prepared -> Smt.Varid.Set.t
+(** The variables of the closure: those the solve re-solves. *)
 
 val solve_prepared :
   ?budget:int ->
   t ->
   prepared ->
   (Smt.Solver.incremental_result, [ `Unsat | `Unknown ]) result
-(** Exactly {!solve_negation} for the prepared candidate,
-    reusing its closure — no second dependency walk or sort. *)
+(** Solve the prepared candidate's canonical closure. *)
 
 val apply_prepared :
   t ->

@@ -22,10 +22,13 @@ open Concolic
    holds under an iteration budget; a wall-clock [time_budget] cuts
    rounds off at a machine-speed-dependent point.
 
-   The solver cache lives on the main domain only. Each negation is
-   probed at dispatch (before its task is queued) and verdicts are
-   inserted at merge, so cache state transitions also happen at
-   deterministic points. Within one round two structurally identical
+   Every negation is prepared on the main domain at dispatch, cache on
+   or off: its closure and key come from the run's closure index (see
+   {!Execution.prepare_negation}), and the worker solves exactly that
+   closure. The solver cache lives on the main domain only. Each
+   negation is probed at dispatch (before its task is queued) and
+   verdicts are inserted at merge, so cache state transitions also
+   happen at deterministic points. Within one round two structurally identical
    negations both miss and both solve; the merge inserts the first
    verdict and drops the duplicate (first-verdict-wins).
 
@@ -682,9 +685,13 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
     | Some _ | None -> ()
   in
   (* Live status: an atomic snapshot published at every merge position
-     (and once more, finished, at campaign end). Everything quoted is
-     main-domain merge state, so the snapshot sequence — like the
-     trajectory itself — is invariant across [jobs]. *)
+     that merged a test (advanced [executed]), and once more, finished,
+     at campaign end. A negation that merges no test (unsat or unknown,
+     live or cached) moves only counters such as the cache hit rate, so
+     it publishes nothing. Everything
+     quoted is main-domain merge state and the publish points are a pure
+     function of it, so the snapshot sequence — like the trajectory
+     itself — is invariant across [jobs]. *)
   let publish_status ~finished () =
     match settings.status_file with
     | None -> ()
@@ -764,16 +771,13 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
           match w with
           | W_fresh p -> `Fresh p
           | W_negate cand -> (
-            match cache with
-            | None -> `Miss (cand, None)
-            | Some c -> (
-              (* one canonicalization per candidate: the prepared value
-                 carries the key for the probe below AND the closure the
-                 miss-path solve / hit-path replay run on *)
-              let p = Execution.prepare_negation cand.Strategy.record cand.Strategy.index in
-              match Smt.Cache.find c (Execution.prepared_key p) with
-              | Some outcome -> `Hit (cand, p, outcome)
-              | None -> `Miss (cand, Some p))))
+            (* one canonicalization per candidate, cache on or off: the
+               prepared value carries the key for the probe below AND
+               the closure the miss-path solve / hit-path replay run on *)
+            let p = Execution.prepare_negation cand.Strategy.record cand.Strategy.index in
+            match Option.bind cache (fun c -> Smt.Cache.find c (Execution.prepared_key p)) with
+            | Some outcome -> `Hit (cand, p, outcome)
+            | None -> `Miss (cand, p)))
         !work
     in
     let thunks =
@@ -798,21 +802,14 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
                   solve_s = 0.0;
                   outcome = N_sat { fresh = sr.Smt.Solver.fresh; next; run = exec next };
                 })
-          | `Miss (cand, prep) -> (
+          | `Miss (cand, p) -> (
             let index = cand.Strategy.index in
-            let key = Option.map Execution.prepared_key prep in
+            let key = Some (Execution.prepared_key p) in
             let t0 = Unix.gettimeofday () in
             let outcome =
               Obs.Prof.time "solve" (fun () ->
-                  match prep with
-                  | Some p ->
-                    (* cache on: the dispatch-time key already holds the
-                       canonical closure — solve it directly *)
-                    Execution.solve_prepared ~budget:s.Driver.solver_budget
-                      cand.Strategy.record p
-                  | None ->
-                    Execution.solve_negation ~budget:s.Driver.solver_budget
-                      cand.Strategy.record index)
+                  Execution.solve_prepared ~budget:s.Driver.solver_budget
+                    cand.Strategy.record p)
             in
             let solve_s = Unix.gettimeofday () -. t0 in
             match outcome with
@@ -916,12 +913,13 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
             drain ()
           end
           else begin
+            let executed = !iter in
             Obs.Timeline.span "merge" (fun () -> merge_one w item);
             work_remaining := rest;
             maybe_checkpoint ();
             if Taskpool.max_inflight st > !max_depth then
               max_depth := Taskpool.max_inflight st;
-            publish_status ~finished:false ();
+            if !iter > executed then publish_status ~finished:false ();
             merge_stream rest
           end)
     in

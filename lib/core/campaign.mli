@@ -23,7 +23,7 @@
     A {!Smt.Cache} in front of the solver lives on the main domain:
     probed when a candidate is dispatched, verdict inserted when it is
     merged — also deterministic points. A negation's verdict is a pure
-    function of its cache key (see {!Smt.Solver.solve_incremental}), so
+    function of its cache key (see {!Smt.Solver.solve_prepared}), so
     a hit replays exactly what a live solve would return:
     [--solver-cache] changes solver work, never the trajectory.
     Unknown (budget-exhausted) solver outcomes are never cached. Each

@@ -8,6 +8,12 @@
    case after a restart re-explores a path — produce the *same* key,
    which is what makes repeats hit.
 
+   There are two ways to build a key with the same hash and equality.
+   [key] sorts and deduplicates any constraint list itself. The
+   campaign's negations use [key_of_sorted]: the caller's per-run
+   closure index already yields the closure in [Constr.compare] order
+   without duplicates, so no constraint comparison is paid per key.
+
    A hit replays the previously found model (or the UNSAT verdict)
    without touching the solver; the replayed model satisfies the set by
    construction even when the current run's concrete inputs differ.
@@ -48,19 +54,7 @@ type key = {
   kdoms : (Varid.t * int * int) list;  (* domains of the vars, in var order *)
 }
 
-let key ?vars ~domains cs =
-  let kconstrs = List.sort_uniq Constr.compare cs in
-  (* [vars] lets a caller that just walked the dependency closure (and
-     so already holds its variable set) skip re-unioning it here — the
-     set folds are a measurable share of key construction. *)
-  let vars =
-    match vars with
-    | Some vs -> vs
-    | None ->
-      List.fold_left
-        (fun acc c -> Varid.Set.union acc (Constr.vars c))
-        Varid.Set.empty cs
-  in
+let key_of_sorted ~vars ~domains kconstrs =
   let kdoms =
     Varid.Set.fold
       (fun v acc ->
@@ -81,19 +75,27 @@ let key ?vars ~domains cs =
   in
   { khash; kconstrs; kdoms }
 
+let key ~domains cs =
+  let vars =
+    List.fold_left (fun acc c -> Varid.Set.union acc (Constr.vars c)) Varid.Set.empty cs
+  in
+  key_of_sorted ~vars ~domains (List.sort_uniq Constr.compare cs)
+
 let key_size k = List.length k.kconstrs
 let key_constrs k = k.kconstrs
+let key_hash k = k.khash
+
+let key_equal a b =
+  a.khash = b.khash
+  && (try List.for_all2 Constr.equal a.kconstrs b.kconstrs
+      with Invalid_argument _ -> false)
+  && a.kdoms = b.kdoms
 
 module Tbl = Hashtbl.Make (struct
   type t = key
 
-  let hash k = k.khash
-
-  let equal a b =
-    a.khash = b.khash
-    && (try List.for_all2 Constr.equal a.kconstrs b.kconstrs
-        with Invalid_argument _ -> false)
-    && a.kdoms = b.kdoms
+  let hash = key_hash
+  let equal = key_equal
 end)
 
 type shard = {

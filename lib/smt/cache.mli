@@ -31,13 +31,17 @@ type outcome = Sat of Model.t | Unsat
 
 type key
 
-val key :
-  ?vars:Varid.Set.t -> domains:Domain.t Varid.Map.t -> Constr.t list -> key
+val key : domains:Domain.t Varid.Map.t -> Constr.t list -> key
 (** Canonicalize a constraint set: sort and deduplicate, then attach the
     domain interval of every variable mentioned. Constraint order and
-    duplicates do not affect the key. [vars], when given, must be the
-    set of variables the constraints mention (e.g. from
-    [Constr.dependency_closure]) and saves recomputing it. *)
+    duplicates do not affect the key. *)
+
+val key_of_sorted :
+  vars:Varid.Set.t -> domains:Domain.t Varid.Map.t -> Constr.t list -> key
+(** {!key} for a list that is already sorted and deduplicated under
+    [Constr.compare], whose variables are [vars]: it equals
+    [key ~domains cs], with the same hash, for any [cs] with that
+    sorted, deduplicated form. *)
 
 val key_size : key -> int
 (** Number of distinct constraints under the key. *)
@@ -47,6 +51,10 @@ val key_constrs : key -> Constr.t list
     exactly the closure a canonical solve of this key's problem runs
     on, so a miss can feed it straight to
     [Solver.solve_prepared] without recomputing or re-sorting it. *)
+
+val key_hash : key -> int
+val key_equal : key -> key -> bool
+(** The hash and equality the table uses. *)
 
 type t
 

@@ -32,7 +32,13 @@ val normalize : t -> [ `Constr of t | `True | `False ]
     Solution sets over the integers are preserved exactly. *)
 
 val equal : t -> t -> bool
+
 val compare : t -> t -> int
+(** Orders by [rel_rank] of the relation, then by [Linexp.compare] of
+    the expression. *)
+
+val rel_rank : rel -> int
+(** Position of a relation in the order {!compare} uses, in [0, 5]. *)
 
 val hash : t -> int
 (** Structural hash consistent with [equal] (see {!Linexp.hash}). *)

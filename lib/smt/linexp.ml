@@ -35,6 +35,7 @@ let constant a = a.k
 let terms a = Varid.Map.fold (fun v c acc -> (c, v) :: acc) a.coeffs [] |> List.rev
 let vars a = Varid.Map.fold (fun v _ acc -> Varid.Set.add v acc) a.coeffs Varid.Set.empty
 let mem v a = Varid.Map.mem v a.coeffs
+let iter_vars f a = Varid.Map.iter (fun v _ -> f v) a.coeffs
 
 let eval lookup a =
   Varid.Map.fold (fun v c acc -> acc + (c * lookup v)) a.coeffs a.k

@@ -35,6 +35,9 @@ val terms : t -> (int * Varid.t) list
 val vars : t -> Varid.Set.t
 val mem : Varid.t -> t -> bool
 
+val iter_vars : (Varid.t -> unit) -> t -> unit
+(** Apply to each variable, in increasing order, without building a set. *)
+
 val eval : (Varid.t -> int) -> t -> int
 (** [eval lookup e] evaluates [e] under the assignment [lookup]. *)
 

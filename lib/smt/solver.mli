@@ -71,8 +71,9 @@ val solve_prepared :
     sorted, deduplicated dependency closure of the negated constraint
     ({!Cache.key_constrs} of its key) and [vars] the variables that
     closure mentions; given those, the verdict is identical to
-    {!solve_incremental}'s, with no second closure traversal or sort. The cache-on campaign path uses this so a miss
-    costs one canonicalization, not two. *)
+    {!solve_incremental}'s, with no second closure traversal or sort.
+    Every campaign negation is solved this way, from the closure its
+    dispatch-time preparation built. *)
 
 val holds_all : Model.t -> Constr.t list -> bool
 (** [holds_all m cs] checks every constraint under [m] (unbound variables

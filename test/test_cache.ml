@@ -109,6 +109,7 @@ let exec_record ?(cx = 3) ?(cy = 4) () =
     mapping = [];
     exec_id = -1;
     exec_schedule = [];
+    closure_index = None;
   }
 
 let test_apply_cached_matches_solver () =
@@ -207,6 +208,7 @@ let test_unsat_negation_cached () =
       mapping = [];
       exec_id = -1;
       exec_schedule = [];
+      closure_index = None;
     }
   in
   (match Concolic.Execution.solve_negation t 0 with

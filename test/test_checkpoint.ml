@@ -171,6 +171,22 @@ let test_load_version_mismatch () =
       | _ -> false)
     (Compi.Checkpoint.load ~dir)
 
+(* A version-4 snapshot (from before [Execution.t] gained its closure
+   index) has an intact header and digest: it must be refused by the
+   version check, before its payload is unmarshalled as the new layout. *)
+let test_load_previous_version () =
+  let raw = real_checkpoint_bytes () in
+  let nl = String.index raw '\n' in
+  let v4 = "COMPI-CKPT 4" ^ String.sub raw nl (String.length raw - nl) in
+  let dir = fresh_dir () in
+  plant dir v4;
+  expect_error "version-4 header"
+    (function
+      | Compi.Checkpoint.Version_mismatch { found = 4; expected } ->
+        expected = Compi.Checkpoint.version
+      | _ -> false)
+    (Compi.Checkpoint.load ~dir)
+
 let test_load_truncated () =
   let raw = real_checkpoint_bytes () in
   let dir = fresh_dir () in
@@ -231,6 +247,8 @@ let suite =
         Alcotest.test_case "garbage file rejected" `Quick test_load_garbage;
         Alcotest.test_case "version mismatch rejected" `Quick
           test_load_version_mismatch;
+        Alcotest.test_case "version-4 checkpoint rejected" `Quick
+          test_load_previous_version;
         Alcotest.test_case "truncated file rejected" `Quick test_load_truncated;
         Alcotest.test_case "bit rot rejected" `Quick test_load_corrupted;
         Alcotest.test_case "different seed refused" `Quick

@@ -189,6 +189,7 @@ let mk_record ?(extra = []) constrs model =
     mapping = [];
     exec_id = -1;
     exec_schedule = [];
+    closure_index = None;
   }
 
 let test_execution_prefix () =
@@ -460,6 +461,131 @@ let prop_dfs_indices_unique_per_record =
       in
       drain () && Hashtbl.length seen = n)
 
+(* ------------------------------------------------------------------ *)
+(* Closure index vs the reference fixpoint                             *)
+(* ------------------------------------------------------------------ *)
+
+(* The computation [prepare_negation] replaces: the Set fixpoint over
+   ¬c_i, the prefix and [extra], then the sort-and-dedup key. *)
+let reference_negation (r : Execution.t) i =
+  let negated = Smt.Constr.negate (Execution.constr_at r i) in
+  let closure, vars =
+    Smt.Constr.dependency_closure ~seed:(Smt.Constr.vars negated)
+      ((negated :: Execution.prefix r i) @ r.Execution.extra)
+  in
+  (Smt.Cache.key ~domains:r.Execution.domains closure, vars)
+
+(* the first index at which [prepare_negation] differs from the
+   reference, if any *)
+let first_mismatch r =
+  List.find_opt
+    (fun i ->
+      let p = Execution.prepare_negation r i in
+      let key, vars = reference_negation r i in
+      not
+        (Smt.Cache.key_equal key (Execution.prepared_key p)
+        && Smt.Cache.key_hash key = Smt.Cache.key_hash (Execution.prepared_key p)
+        && Smt.Varid.Set.equal vars (Execution.prepared_vars p)))
+    (List.init (Execution.length r) Fun.id)
+
+(* Random paths drawn from a small alphabet of constraints, so paths
+   repeat constraints and share them with [extra]. Variable ids are
+   spread out (gaps), some constraints mention no variable, and part of
+   [extra] ranges over variables the path never touches (components
+   disconnected from every candidate). Some variables get domains. *)
+let gen_closure_case =
+  let open QCheck.Gen in
+  let gen_constr pool =
+    let* nterms = int_range 0 3 in
+    let* terms =
+      list_repeat nterms (pair (oneofl [ -3; -2; -1; 1; 2; 3 ]) (oneofa pool))
+    in
+    let* k = int_range (-5) 5 in
+    let+ rel = oneofl Smt.Constr.[ Eq; Ne; Lt; Le; Gt; Ge ] in
+    Smt.Constr.make (Smt.Linexp.of_terms terms k) rel
+  in
+  let* pool = list_size (int_range 1 10) (int_range 0 50) in
+  let pool = Array.of_list (List.map (fun v -> 3 * v) pool) in
+  let* alphabet = list_size (int_range 1 10) (gen_constr pool) in
+  let alphabet = Array.of_list alphabet in
+  let* path = list_size (int_range 1 40) (oneofa alphabet) in
+  let* shared = list_size (int_range 0 4) (oneofa alphabet) in
+  let* apart = list_size (int_range 0 4) (gen_constr [| 1000; 1003; 1010 |]) in
+  let* extra = shuffle_l (shared @ apart) in
+  let+ doms =
+    list_size (int_range 0 4)
+      (pair (oneofa pool) (map (fun lo -> Smt.Domain.make ~lo ~hi:(lo + 9)) (int_range (-20) 20)))
+  in
+  let r = mk_record ~extra path Smt.Model.empty in
+  {
+    r with
+    Execution.domains =
+      List.fold_left (fun m (v, d) -> Smt.Varid.Map.add v d m) Smt.Varid.Map.empty doms;
+  }
+
+let prop_prepare_matches_fixpoint =
+  QCheck.Test.make ~name:"execution: closure index equals the fixpoint" ~count:300
+    (QCheck.make
+       ~print:(fun r ->
+         Format.asprintf "path %a@ extra %a"
+           (Format.pp_print_list Smt.Constr.pp)
+           (Execution.prefix r (Execution.length r))
+           (Format.pp_print_list Smt.Constr.pp)
+           r.Execution.extra)
+       gen_closure_case)
+    (fun r -> first_mismatch r = None)
+
+(* The same check on real paths: 20 runs each of three targets, driven
+   by a small DFS loop (negate, solve, re-run) from fixed-seed random
+   inputs, so the paths get as long as a campaign's. *)
+let test_prepare_matches_fixpoint_on_targets () =
+  List.iter
+    (fun name ->
+      let reg = Targets.Catalog.find_exn name in
+      let info = Targets.Registry.instrument reg in
+      let tuning = reg.Targets.Registry.tuning in
+      let settings = Compi.Driver.default_settings in
+      let rng = Random.State.make [| 13 |] in
+      let random () = Compi.Driver.random_inputs rng settings info.Minic.Branchinfo.program in
+      let base =
+        {
+          (Compi.Runner.default_config ~info) with
+          Compi.Runner.nprocs = tuning.Targets.Registry.initial_nprocs;
+          step_limit = tuning.Targets.Registry.step_limit;
+          compiled = Compi.Runner.prepare Compi.Runner.Exec_compiled info;
+        }
+      in
+      let strategy = Strategy.create (Strategy.Bounded_dfs tuning.Targets.Registry.depth_bound) in
+      let coverage = Coverage.create () in
+      let longest = ref 0 in
+      let rec next () =
+        match Strategy.next strategy ~coverage with
+        | None -> (random (), 0)
+        | Some c -> (
+          let r = c.Strategy.record in
+          match Execution.solve_negation r c.Strategy.index with
+          | Ok sr -> (Symtab.input_values r.Execution.symtab sr.Smt.Solver.model, c.Strategy.index + 1)
+          | Error _ -> next ())
+      in
+      let inputs = ref (random ()) and depth = ref 0 in
+      for run = 1 to 20 do
+        match Compi.Runner.run { base with Compi.Runner.inputs = !inputs } with
+        | Error (`Platform_limit _) -> Alcotest.failf "%s run %d: platform limit" name run
+        | Ok res ->
+          let r = res.Compi.Runner.execution in
+          longest := max !longest (Execution.length r);
+          (match first_mismatch r with
+          | None -> ()
+          | Some i -> Alcotest.failf "%s run %d: index %d differs from the fixpoint" name run i);
+          Coverage.absorb ~into:coverage res.Compi.Runner.coverage;
+          Strategy.observe strategy ~depth:!depth r;
+          let i, d = next () in
+          inputs := i;
+          depth := d
+      done;
+      Alcotest.(check bool) (name ^ ": long paths reached") true (!longest >= 20))
+    [ "susy-hmc"; "hpl"; "imb-mpi1" ]
+
 let unit_tests =
   [
     ("coverage basics", `Quick, test_coverage_basics);
@@ -482,6 +608,7 @@ let unit_tests =
     ("execution prefix respected", `Quick, test_execution_negation_respects_prefix);
     ("execution negation unsat", `Quick, test_execution_negation_unsat);
     ("execution extra constraints", `Quick, test_execution_extra_constraints);
+    ("closure index on target paths", `Quick, test_prepare_matches_fixpoint_on_targets);
     ("dfs order (CREST)", `Quick, test_dfs_order);
     ("dfs depth resume", `Quick, test_dfs_depth_resume);
     ("dfs bound", `Quick, test_dfs_bound_skips_deep);
@@ -495,6 +622,11 @@ let unit_tests =
 
 let property_tests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_reduction_never_more; prop_reduction_keeps_flips; prop_dfs_indices_unique_per_record ]
+    [
+      prop_reduction_never_more;
+      prop_reduction_keeps_flips;
+      prop_dfs_indices_unique_per_record;
+      prop_prepare_matches_fixpoint;
+    ]
 
 let suite = [ ("concolic:unit", unit_tests); ("concolic:property", property_tests) ]

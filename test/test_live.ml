@@ -418,6 +418,52 @@ let test_live_campaign_status_matches_replay () =
   | Error e -> Alcotest.failf "ledger unreadable: %s" e);
   List.iter Sys.remove [ status_path; trace_path; ledger_path ]
 
+(* The status file is rewritten only at merges that merged a test, plus
+   the closing snapshot, so the publish sequence is a function of merge
+   state alone: the same count at any [--jobs], never above
+   [executed + 1]. Batch 4 leaves unsat and cached negations between
+   tests, which no longer publish. *)
+let test_status_cadence_per_merged_test () =
+  let info = Targets.Registry.instrument (Targets.Catalog.find_exn "susy-hmc") in
+  let run jobs =
+    let status_path = tmp_file ".json" in
+    let settings =
+      {
+        Compi.Campaign.default_settings with
+        Compi.Campaign.base =
+          {
+            Compi.Driver.default_settings with
+            Compi.Driver.iterations = 60;
+            seed = 7;
+          };
+        jobs;
+        batch = 4;
+        status_file = Some status_path;
+      }
+    in
+    let buf = Buffer.create 4096 in
+    let result =
+      Obs.Sink.with_sink (Obs.Sink.Buffer_sink buf) (fun () ->
+          Compi.Campaign.run ~settings ~label:"susy-hmc" info)
+    in
+    Sys.remove status_path;
+    let f = Obs.Fold.of_lines (String.split_on_char '\n' (Buffer.contents buf)) in
+    let snapshots =
+      Option.value (List.assoc_opt "status_snapshot" f.Obs.Fold.census) ~default:0
+    in
+    let negations = Option.value (List.assoc_opt "negation" f.Obs.Fold.census) ~default:0 in
+    (snapshots, negations, result.Compi.Campaign.summary.Compi.Driver.iterations_run)
+  in
+  let s1, negations, executed = run 1 in
+  let s2, _, _ = run 2 in
+  Alcotest.(check int) "same snapshot count at jobs 1 and 2" s1 s2;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d snapshots <= executed + 1 = %d" s1 (executed + 1))
+    true
+    (s1 <= executed + 1);
+  Alcotest.(check bool) "fewer snapshots than merge positions" true
+    (s1 < executed + negations)
+
 let suite =
   [
     ( "live",
@@ -434,6 +480,8 @@ let suite =
         Alcotest.test_case "ledger: digest stability" `Quick test_ledger_digest_stable;
         Alcotest.test_case "campaign: live status agrees with replay" `Quick
           test_live_campaign_status_matches_replay;
+        Alcotest.test_case "campaign: status published per merged test" `Quick
+          test_status_cadence_per_merged_test;
       ]
       @ List.map QCheck_alcotest.to_alcotest
           [ prop_incremental_equals_batch; prop_step_line_equals_of_lines ] );
