@@ -89,7 +89,7 @@ let compare_line ~label ~paper ~measured =
 
 (* Persist the whole metrics registry (bench gauges plus whatever the
    engine accumulated while benchmarks ran: solver latency histograms,
-   interpreter step counts, phase totals) — the BENCH_*.json perf
+   interpreter step counts) — the BENCH_*.json perf
    trajectory the roadmap tracks across PRs. *)
 let write_metrics_json path =
   Out_channel.with_open_text path (fun oc ->

@@ -221,7 +221,7 @@ let metrics_arg ?docs () =
     value
     & opt (some string) None
     & info [ "metrics" ] ?docs ~docv:"FILE.json"
-        ~doc:"Write the metrics registry snapshot (counters, histograms, phase totals) \
+        ~doc:"Write the metrics registry snapshot (counters, gauges, histograms) \
               to $(docv) when the campaign ends")
 
 (* Install a JSONL sink for the duration of [f]; afterwards dump the
@@ -912,8 +912,8 @@ let profile_cmd =
        ~doc:
          "Fold the timeline spans of a $(b,--trace-events) JSONL trace into a \
           performance profile: per-kind wall breakdown, per-worker utilization, \
-          merge-barrier stall, cache-lock contention and per-round critical path — \
-          HTML with a Gantt timeline via $(b,--out), ASCII otherwise")
+          pipeline queue wait, worker idle, cache probes and per-round critical \
+          path — HTML with a Gantt timeline via $(b,--out), ASCII otherwise")
     Term.(const run $ trace_pos_arg $ report_out_arg $ stable_arg)
 
 (* ------------------------------------------------------------------ *)

@@ -501,7 +501,7 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
             }
             :: !bugs)
         faults;
-      Obs.Prof.time "strategy" (fun () ->
+      Obs.Timeline.span "strategy" (fun () ->
           Strategy.observe !strategy ~depth:p.Driver.p_depth r.Runner.execution);
       (* two-phase bound derivation (paper section II-B) *)
       (match s.Driver.strategy with
@@ -666,7 +666,9 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
         ck_work = !work_remaining;
       }
     in
-    let bytes = Obs.Prof.time "checkpoint" (fun () -> Checkpoint.save ~dir ~target:label snap) in
+    let bytes =
+      Obs.Timeline.span "checkpoint" (fun () -> Checkpoint.save ~dir ~target:label snap)
+    in
     incr checkpoints_written;
     Obs.Metrics.incr m_checkpoints;
     Obs.Sink.emit
@@ -805,13 +807,11 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
           | `Miss (cand, p) -> (
             let index = cand.Strategy.index in
             let key = Some (Execution.prepared_key p) in
-            let t0 = Unix.gettimeofday () in
-            let outcome =
-              Obs.Prof.time "solve" (fun () ->
+            let outcome, solve_s =
+              Obs.Timeline.timed "solve" (fun () ->
                   Execution.solve_prepared ~budget:s.Driver.solver_budget
                     cand.Strategy.record p)
             in
-            let solve_s = Unix.gettimeofday () -. t0 in
             match outcome with
             | Error `Unsat ->
               D_negated { index; solved = true; key; solve_s; outcome = N_unsat }
@@ -945,7 +945,7 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
      drained work list — leave a snapshot the next run can pick up *)
   (match settings.checkpoint with Some dir -> write_checkpoint dir | None -> ());
   let reachable =
-    Obs.Prof.time "report" (fun () ->
+    Obs.Timeline.span "report" (fun () ->
         Branchinfo.reachable_branches info ~encountered:(Coverage.encountered coverage))
   in
   let covered = Coverage.covered_branches coverage in

@@ -63,16 +63,12 @@ let run_claimed t ~worker ~tasks_run b i =
   t.task_seq <- seq + 1;
   claim_depth b;
   Mutex.unlock t.mu;
-  let t0 = Unix.gettimeofday () in
-  let tk0 = if Obs.Timeline.on () then Obs.Timeline.tick () else 0 in
-  let outcome =
-    match b.thunks.(i) () with
-    | v -> Done v
-    | exception e -> Raised (e, Printexc.get_raw_backtrace ())
+  let outcome, dt =
+    Obs.Timeline.timed "task" (fun () ->
+        match b.thunks.(i) () with
+        | v -> Done v
+        | exception e -> Raised (e, Printexc.get_raw_backtrace ()))
   in
-  if Obs.Timeline.on () then
-    Obs.Timeline.record ~kind:"task" ~t0:tk0 ~t1:(Obs.Timeline.tick ());
-  let dt = Unix.gettimeofday () -. t0 in
   incr tasks_run;
   if Obs.Sink.active () then
     Obs.Sink.emit (Obs.Event.Worker_task { worker; task = seq; time_s = dt });

@@ -698,7 +698,7 @@ let run ?(max_procs = default_max_procs) ?(on_event = fun (_ : Trace.event) -> (
         else settle ()
       end
   in
-  Obs.Prof.time "schedule" settle;
+  Obs.Timeline.span "schedule" settle;
   Obs.Metrics.observe_int m_msgs_per_run s.msg_count;
   let leaked =
     Hashtbl.fold

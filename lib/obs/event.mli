@@ -16,7 +16,7 @@ type t =
       (** the target was compiled to closures (once per campaign):
           [funcs]/[conds]/[slots] are compiled-program sizes, [time_s]
           the compile cost that [compi-cli profile] attributes to the
-          ["compile"] phase rather than to run time *)
+          ["compile"] span rather than to run time *)
   | Campaign_end of {
       iterations_run : int;
       covered : int;

@@ -163,4 +163,4 @@ let snapshot_json () =
       registry []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  Json.Obj [ ("metrics", Json.Obj metrics); ("phases", Prof.snapshot_json ()) ]
+  Json.Obj [ ("metrics", Json.Obj metrics) ]

@@ -11,11 +11,11 @@
    which under the OCaml 5 memory model orders them before any reader
    that observes the new count.
 
-   Ticks are integer nanoseconds since [enable]. Workers inherit the
-   epoch set by the main domain before the pool spawns; a drain turns
-   undrained entries into {!Event.Span} lines through the global
-   {!Sink}, so spans land in the same JSONL stream as everything else
-   and the profile fold is just another pure trace consumer. *)
+   Ticks are integer wall-clock nanoseconds since [enable]. Workers
+   inherit the epoch set by the main domain before the pool spawns; a
+   drain turns undrained entries into {!Event.Span} lines through the
+   global {!Sink}, so spans land in the same JSONL stream as everything
+   else and the profile fold is just another pure trace consumer. *)
 
 let chunk_size = 1024
 
@@ -72,7 +72,8 @@ let key =
 
 let on () = !on_flag
 
-let tick () = int_of_float ((Unix.gettimeofday () -. !epoch) *. 1e9)
+let ns_of t = int_of_float ((t -. !epoch) *. 1e9)
+let tick () = ns_of (Unix.gettimeofday ())
 
 let set_domain d = (Domain.DLS.get key).dom <- d
 
@@ -107,6 +108,17 @@ let span kind f =
       push kind t0 (tick ());
       raise e
   end
+
+let timed kind f =
+  let t0 = Unix.gettimeofday () in
+  match f () with
+  | v ->
+    let t1 = Unix.gettimeofday () in
+    if !on_flag then push kind (ns_of t0) (ns_of t1);
+    (v, t1 -. t0)
+  | exception e ->
+    if !on_flag then push kind (ns_of t0) (tick ());
+    raise e
 
 let enable () =
   (* restart the clock and discard anything not yet drained; called on

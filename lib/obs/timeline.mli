@@ -1,10 +1,11 @@
-(** Per-domain span buffers: the low-overhead timing layer of the
+(** Per-domain span buffers: the one timing mechanism of the
     performance observatory.
 
     Every domain appends (kind, begin, end) spans to its own fixed-size
     chunk list — no lock, no reallocation on the hot path — and the main
     domain periodically {!drain}s all buffers into the global {!Sink}
-    as [span] events. Ticks are integer nanoseconds since {!enable}.
+    as [span] events. Ticks are integer wall-clock nanoseconds
+    since {!enable}.
 
     When the timeline is off (the default), {!span} is a single ref
     read before a tail call of its argument — zero allocation — and
@@ -31,9 +32,15 @@ val span : string -> (unit -> 'a) -> 'a
     [kind] span on the calling domain. Exception-safe: a raising [f]
     still records. Disabled, this is exactly [f ()]. *)
 
+val timed : string -> (unit -> 'a) -> 'a * float
+(** [timed kind f] is [span kind f] that also returns [f]'s elapsed
+    wall seconds, read from the same two clock readings as the span —
+    for call sites that need the duration whether or not the timeline
+    is on. Exception-safe like {!span}. *)
+
 val record : kind:string -> t0:int -> t1:int -> unit
 (** Record a span from explicit {!tick} readings — for intervals a
-    closure cannot wrap, like a mutex acquisition. No-op when off. *)
+    closure cannot wrap, like a condition-variable wait. No-op when off. *)
 
 val set_domain : int -> unit
 (** Set the calling domain's reporting id (the pool worker index; the

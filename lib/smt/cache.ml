@@ -31,14 +31,11 @@
    probes at candidate dispatch, verdict publication at the ordered
    merge — so every cache state transition happens at a work-list
    position that is identical at any [--jobs], which is what makes
-   campaigns reproducible regardless of worker count. (The earlier
-   design kept a module-level mutex "just in case"; profile data showed
-   it as pure overhead — cache.lock.wait/hold spans — protecting a
-   structure that was already single-domain by protocol. Concurrent
-   multi-domain mutation was never supported and still is not.)
+   campaigns reproducible regardless of worker count. Concurrent
+   multi-domain mutation is not supported.
    Sharding keeps per-shard FIFO queues short so eviction scans stay
    O(shard) instead of O(table), and gives the checkpoint a layout that
-   still marshals directly (no mutex custom block to strip).
+   marshals directly.
 
    The shard count is derived from capacity — one shard per 256 slots,
    clamped to [1, 16] and rounded down to a power of two — so small

@@ -211,17 +211,12 @@ let count_vars cs =
 
 (* Wrap one solver entry with latency/outcome accounting and, when a
    trace sink is live, a [Solver_call] event. The timeline span kind is
-   "solver.call", distinct from the campaign's enclosing "solve" phase:
+   "solver.call", distinct from the campaign's enclosing "solve" span:
    the difference between the two is key-construction and bookkeeping
    overhead around the actual search. *)
 let instrumented ~incremental cs f =
-  let tk0 = if Obs.Timeline.on () then Obs.Timeline.tick () else 0 in
-  let t0 = Unix.gettimeofday () in
   let nodes = ref 0 in
-  let outcome = f nodes in
-  let dt = Unix.gettimeofday () -. t0 in
-  if Obs.Timeline.on () then
-    Obs.Timeline.record ~kind:"solver.call" ~t0:tk0 ~t1:(Obs.Timeline.tick ());
+  let outcome, dt = Obs.Timeline.timed "solver.call" (fun () -> f nodes) in
   Obs.Metrics.incr m_calls;
   Obs.Metrics.observe m_latency dt;
   Obs.Metrics.observe_int m_nodes !nodes;

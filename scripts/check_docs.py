@@ -10,9 +10,12 @@ that don't exist:
      resolve (globs like `examples/programs/*.mc` must match something);
   3. CLI flags like `--jobs` that bin/compi_cli.ml does not define;
   4. telemetry vocabulary drift: every event kind `lib/obs/event.ml`
-     can emit must have a `### `kind`` section in docs/TELEMETRY.md,
-     and every `Obs.Prof.time "phase"` string used by lib/ or bin/
-     must appear in TELEMETRY.md's phase list.
+     can emit must have a `### `kind`` section in docs/TELEMETRY.md;
+     every literal span kind passed to `Timeline.span`/`timed`/
+     `record ~kind:` in lib/ or bin/ must be in lib/obs/fold.ml's busy
+     or wait vocabulary and in TELEMETRY.md's "Span kinds:" list, and
+     every kind in that vocabulary or that list must be produced by some
+     call site.
 
 With `--exe PATH` (a built compi_cli executable) it additionally runs
 `PATH <cmd> --help` for each audited subcommand (run, explain, report,
@@ -76,18 +79,36 @@ def event_kinds():
     return set(re.findall(r'->\s*"([a-z_]+)"', m.group(1)))
 
 
-def prof_phases():
-    """Phase strings passed to Obs.Prof.time anywhere in lib/ or bin/."""
-    phases = set()
+SPAN_KIND = r"([a-z0-9._]+)"
+SPAN_CALL_RE = re.compile(
+    rf'Timeline\.(?:span|timed)\s+"{SPAN_KIND}"|record\s+~kind:"{SPAN_KIND}"')
+
+
+def produced_span_kinds():
+    """Literal span kinds recorded anywhere in lib/ or bin/."""
+    kinds = set()
     for pat in ("lib/**/*.ml", "bin/**/*.ml"):
         for path in glob.glob(os.path.join(ROOT, pat), recursive=True):
-            src = open(path).read()
-            phases.update(re.findall(r'Prof\.time\s+"([a-z._]+)"', src))
-    return phases
+            for a, b in SPAN_CALL_RE.findall(open(path).read()):
+                kinds.add(a or b)
+    return kinds
+
+
+def fold_span_kinds():
+    """Kinds `span_wait_kind` and `span_busy_kind` in lib/obs/fold.ml
+    accept, or None when the functions cannot be found."""
+    src = open(os.path.join(ROOT, "lib", "obs", "fold.ml")).read()
+    kinds = set()
+    for fn in ("span_wait_kind", "span_busy_kind"):
+        m = re.search(rf"let {fn} = function\n(.*?)-> true", src, re.S)
+        if not m:
+            return None
+        kinds.update(re.findall(rf'"{SPAN_KIND}"', m.group(1)))
+    return kinds
 
 
 def check_telemetry_vocab(errors):
-    """TELEMETRY.md must document every event kind and profile phase."""
+    """TELEMETRY.md must document every event kind and span kind."""
     path = os.path.join(ROOT, "docs", "TELEMETRY.md")
     if not os.path.exists(path):
         errors.append("missing documentation file: docs/TELEMETRY.md")
@@ -112,15 +133,33 @@ def check_telemetry_vocab(errors):
             errors.append(
                 f"docs/TELEMETRY.md: says 'one of the {count.group(1)} names' "
                 f"but lib/obs/event.ml defines {len(kinds)} kinds")
-    phase_doc = re.search(r"^Phases: (.*?)(?:^\n|\Z)", text, re.M | re.S)
-    doc_phases = set(re.findall(r"`([a-z._]+)`", phase_doc.group(1))) \
-        if phase_doc else set()
-    if not phase_doc:
-        errors.append("docs/TELEMETRY.md: no 'Phases:' list to audit")
-    for phase in sorted(prof_phases() - doc_phases):
+    span_doc = re.search(r"^Span kinds:(.*?)(?:^\n|\Z)", text, re.M | re.S)
+    doc_spans = set(re.findall(rf"`{SPAN_KIND}`", span_doc.group(1))) \
+        if span_doc else set()
+    if not span_doc:
+        errors.append("docs/TELEMETRY.md: no 'Span kinds:' list to audit")
+    vocab = fold_span_kinds()
+    if vocab is None:
+        errors.append("cannot parse span_wait_kind/span_busy_kind from "
+                      "lib/obs/fold.ml (audit regex rotted)")
+        return
+    produced = produced_span_kinds()
+    for kind in sorted(produced - vocab):
         errors.append(
-            f"docs/TELEMETRY.md: profile phase {phase!r} (Obs.Prof.time "
-            f"call site) missing from the Phases list")
+            f"lib/obs/fold.ml: span kind {kind!r} is recorded by a call "
+            f"site but is not in the busy or wait vocabulary")
+    for kind in sorted(vocab - produced):
+        errors.append(
+            f"lib/obs/fold.ml: span kind {kind!r} is in the vocabulary "
+            f"but no call site in lib/ or bin/ records it")
+    for kind in sorted(produced - doc_spans):
+        errors.append(
+            f"docs/TELEMETRY.md: span kind {kind!r} missing from the "
+            f"'Span kinds:' list")
+    for kind in sorted(doc_spans - produced):
+        errors.append(
+            f"docs/TELEMETRY.md: 'Span kinds:' lists {kind!r}, which no "
+            f"call site in lib/ or bin/ records")
 
 
 def cli_flags():

@@ -74,6 +74,7 @@ let test_json_structures () =
 let sample_events : Obs.Event.t list =
   [
     Campaign_start { target = "toy \"quoted\""; iterations = 200; seed = 42; nprocs = 4 };
+    Compile { target = "susy-hmc"; funcs = 12; conds = 87; slots = 340; time_s = 0.0125 };
     Campaign_end
       { iterations_run = 200; covered = 17; reachable = 20; bugs = 1; wall_s = 0.125 };
     Iter_start { iteration = 3; nprocs = 8; focus = 2 };
@@ -140,7 +141,7 @@ let sample_events : Obs.Event.t list =
     Deadlock_witness { rank = 1; comm = 0; kind = "collective:barrier"; peer = 3 };
     Schedule_choice { rank = 0; comm = 0; tag = 3; chosen = 2; alts = [ 1; 2 ]; point = 0 };
     Schedule_enum { parent = 12; points = 2; emitted = 1; pruned = 1 };
-    Span { domain = 1; kind = "cache.lock.wait"; t0 = 1_000; t1 = 2_500 };
+    Span { domain = 1; kind = "queue.wait"; t0 = 1_000; t1 = 2_500 };
     Status_snapshot
       { rounds = 40; executed = 120; covered = 30; reachable = 38; bugs = 1;
         queue = 6; path = "/tmp/status.json" };
@@ -153,7 +154,7 @@ let test_event_roundtrip () =
   let kinds =
     List.sort_uniq String.compare (List.map Obs.Event.kind_name sample_events)
   in
-  Alcotest.(check int) "all 29 event kinds sampled" 29 (List.length kinds);
+  Alcotest.(check int) "all 30 event kinds sampled" 30 (List.length kinds);
   List.iter
     (fun ev ->
       let wire = Obs.Json.to_string (Obs.Event.to_json ~t:1.25 ev) in

@@ -1,7 +1,7 @@
 (* The span timeline and the profile fold built on it: live recording
-   through drain into a sink, the interval accounting's invariants
-   (utilization bounds, critical path, lock histogram), unknown-kind
-   triage, renderer determinism, and the zero-cost-when-off guarantee. *)
+   through drain into a sink, [timed], the interval accounting's
+   invariants (utilization bounds, critical path), unknown-kind triage,
+   renderer determinism, and the zero-cost-when-off guarantee. *)
 
 (* substring search, to keep the test deps at alcotest alone *)
 let contains ~affix s =
@@ -61,6 +61,32 @@ let test_span_exception_safe () =
   Alcotest.(check int) "raising span still recorded" 1
     (List.length f.Obs.Fold.spans)
 
+(* [timed] reads each end of the interval once: the seconds it returns
+   and the span it records come from the same readings, so it records
+   exactly one span when on (also when [f] raises) and none when off. *)
+let test_timed () =
+  Alcotest.(check bool) "timeline off" false (Obs.Timeline.on ());
+  let before = Obs.Timeline.pending () in
+  let v, dt = Obs.Timeline.timed "solve" (fun () -> 41 + 1) in
+  Alcotest.(check int) "result returned when off" 42 v;
+  Alcotest.(check bool) "non-negative seconds when off" true (dt >= 0.0);
+  Alcotest.(check int) "nothing recorded when off" before (Obs.Timeline.pending ());
+  let buf = Buffer.create 256 in
+  Obs.Sink.with_sink (Obs.Sink.Buffer_sink buf) (fun () ->
+      Obs.Timeline.enable ();
+      Fun.protect ~finally:Obs.Timeline.disable (fun () ->
+          let v, dt = Obs.Timeline.timed "solve" (fun () -> "ok") in
+          Alcotest.(check string) "result returned when on" "ok" v;
+          Alcotest.(check bool) "non-negative seconds when on" true (dt >= 0.0);
+          Alcotest.(check int) "one span when on" 1 (Obs.Timeline.pending ());
+          (try ignore (Obs.Timeline.timed "compile" (fun () -> failwith "boom"))
+           with Failure _ -> ());
+          Alcotest.(check int) "raising f still records" 2 (Obs.Timeline.pending ());
+          Obs.Timeline.drain ()));
+  let f = Obs.Fold.of_lines (String.split_on_char '\n' (Buffer.contents buf)) in
+  Alcotest.(check (list string)) "span kinds" [ "solve"; "compile" ]
+    (List.map (fun s -> s.Obs.Fold.sp_kind) f.Obs.Fold.spans)
+
 let test_unknown_kind_skipped () =
   let f =
     fold_of_spans
@@ -69,13 +95,16 @@ let test_unknown_kind_skipped () =
         (0, "mystery.v9", 10, 20);
         (0, "mystery.v9", 30, 40);
         (1, "idle", 0, 80);
+        (* kinds of the pre-pipeline engine are no longer produced *)
+        (0, "barrier", 40, 60);
+        (1, "cache.lock.wait", 10, 15);
       ]
   in
   let p = Obs.Fold.profile f in
   Alcotest.(check int) "known spans counted" 2 p.Obs.Fold.pf_spans;
   Alcotest.(check (list (pair string int)))
     "unknown kind skipped and counted"
-    [ ("mystery.v9", 2) ]
+    [ ("barrier", 1); ("cache.lock.wait", 1); ("mystery.v9", 2) ]
     p.Obs.Fold.pf_unknown;
   (* skip note must surface in the text rendering *)
   let txt = Obs.Fold.profile_text f in
@@ -89,7 +118,7 @@ let test_utilization_bounds () =
         (* overlapping busy spans + a wait overlapping both *)
         (0, "exec", 0, 100);
         (0, "interp", 50, 150);
-        (0, "barrier", 80, 120);
+        (0, "queue.wait", 80, 120);
         (* a worker that only waited *)
         (1, "idle", 0, 150);
       ]
@@ -137,30 +166,15 @@ let test_round_critical_path () =
   Alcotest.(check (float 0.01)) "full attribution" 100.0
     p.Obs.Fold.pf_attributed_pct
 
-let test_lock_wait_histogram () =
-  let waits = [ 0; 1; 2; 3; 4; 1500 ] in
-  let f =
-    fold_of_spans
-      ((0, "exec", 0, 4000)
-      :: List.mapi (fun i d -> (0, "cache.lock.wait", i * 10, (i * 10) + d)) waits)
-  in
-  let p = Obs.Fold.profile f in
-  (* 0 -> bucket 0; 1,2 -> bucket 1; 3,4 -> bucket 2; 1500 -> bucket 11 *)
-  Alcotest.(check (list (pair int int)))
-    "power-of-two buckets"
-    [ (0, 1); (1, 2); (2, 2); (11, 1) ]
-    p.Obs.Fold.pf_lock_hist;
-  Alcotest.(check int) "acquisitions counted" 6 p.Obs.Fold.pf_lock_acqs
-
 let test_profile_renderers_deterministic () =
   let spans =
     [
       (0, "round", 0, 900);
       (0, "dispatch", 0, 100);
       (0, "merge", 500, 900);
-      (0, "barrier", 100, 480);
+      (0, "queue.wait", 100, 480);
       (1, "task", 120, 470);
-      (1, "cache.lock.wait", 470, 475);
+      (1, "cache.probe", 470, 475);
       (1, "idle", 480, 900);
     ]
   in
@@ -179,7 +193,7 @@ let test_profile_renderers_deterministic () =
     (fun phrase ->
       Alcotest.(check bool) (phrase ^ " present") true
         (contains ~affix:phrase t1))
-    [ "per-worker utilization"; "merge-barrier stall"; "cache-lock wait" ];
+    [ "per-worker utilization"; "pipeline queue wait"; "worker idle"; "cache probes" ];
   List.iter
     (fun affix ->
       Alcotest.(check bool) (affix ^ " in html") true
@@ -208,7 +222,7 @@ let test_zero_alloc_when_off () =
 
 (* End to end: a real jobs-2 campaign traced through a buffer sink must
    yield a profile that attributes (nearly) all wall time, keeps every
-   utilization in bounds, and reports the contention tables. *)
+   utilization in bounds, and reports the stall tables. *)
 let test_live_campaign_profile () =
   let info = Targets.Registry.instrument (Targets.Catalog.find_exn "toy-fig1") in
   let settings =
@@ -243,13 +257,13 @@ let test_live_campaign_profile () =
       Alcotest.(check bool) "live utilization <= 1" true (d.Obs.Fold.dp_util <= 1.0))
     p.Obs.Fold.pf_domains;
   Alcotest.(check bool) "rounds profiled" true (p.Obs.Fold.pf_rounds <> []);
-  Alcotest.(check bool) "cache probed under the lock" true (p.Obs.Fold.pf_probes > 0);
+  Alcotest.(check bool) "cache probed" true (p.Obs.Fold.pf_probes > 0);
   let txt = Obs.Fold.profile_text f in
   List.iter
     (fun phrase ->
       Alcotest.(check bool) (phrase ^ " present") true
         (contains ~affix:phrase txt))
-    [ "per-worker utilization"; "merge-barrier stall"; "cache-lock wait" ]
+    [ "per-worker utilization"; "pipeline queue wait"; "worker idle"; "cache probes" ]
 
 let suite =
   [
@@ -257,14 +271,14 @@ let suite =
       [
         Alcotest.test_case "live record/drain round-trip" `Quick test_live_roundtrip;
         Alcotest.test_case "span is exception-safe" `Quick test_span_exception_safe;
+        Alcotest.test_case "timed records one span and returns seconds" `Quick
+          test_timed;
         Alcotest.test_case "unknown span kinds skipped+counted" `Quick
           test_unknown_kind_skipped;
         Alcotest.test_case "utilization bounded by interval union" `Quick
           test_utilization_bounds;
         Alcotest.test_case "round critical path and stall" `Quick
           test_round_critical_path;
-        Alcotest.test_case "lock-wait histogram buckets" `Quick
-          test_lock_wait_histogram;
         Alcotest.test_case "profile renderers deterministic" `Quick
           test_profile_renderers_deterministic;
         Alcotest.test_case "zero allocation when off" `Quick test_zero_alloc_when_off;
