@@ -60,7 +60,6 @@ let () =
     !scale.Util.time !scale.Util.reps;
   List.iter (fun (name, _, f) -> if wanted name then f !scale) experiments;
   if wanted "micro" then begin
-    Microbench.run ();
-    Util.write_metrics_json "BENCH_microbench.json"
+    Util.write_metrics_json "BENCH_microbench.json" (Microbench.run ())
   end;
   Printf.printf "\nDone.\n"

@@ -120,6 +120,10 @@ let tests =
       fold_test;
     ]
 
+(* The bench.* gauges this run measured, written to BENCH_microbench.json *)
+let gauges : (string * float) list ref = ref []
+let gauge name v = gauges := (name, v) :: !gauges
+
 (* "compi/solver: 4-constraint incremental set" -> a metric-safe name *)
 let gauge_name name =
   let b = Buffer.create (String.length name) in
@@ -171,9 +175,9 @@ let span_overhead_check () =
   let on_ns = 1e9 *. min_of (fun () -> time_n n) in
   Obs.Timeline.disable ();
   let ratio = on_ns /. off_ns in
-  Obs.Metrics.set (Obs.Metrics.gauge "bench.span_overhead.off.ns_per_run") off_ns;
-  Obs.Metrics.set (Obs.Metrics.gauge "bench.span_overhead.on.ns_per_run") on_ns;
-  Obs.Metrics.set (Obs.Metrics.gauge "bench.span_overhead.ratio") ratio;
+  gauge "bench.span_overhead.off.ns_per_run" off_ns;
+  gauge "bench.span_overhead.on.ns_per_run" on_ns;
+  gauge "bench.span_overhead.ratio" ratio;
   Printf.printf "  %-45s %12.0f ns/run\n" "runner, timeline off" off_ns;
   Printf.printf "  %-45s %12.0f ns/run (%.3fx)\n%!" "runner, timeline on" on_ns ratio;
   if ratio > 1.05 then begin
@@ -272,14 +276,14 @@ let exec_mode_check () =
       1e9 *. (Unix.gettimeofday () -. t0) /. float_of_int n
     in
     let ns = List.fold_left Float.min infinity (List.init reps (fun _ -> time_n ())) in
-    Obs.Metrics.set (Obs.Metrics.gauge (Printf.sprintf "bench.%s.ns_per_run" name)) ns;
+    gauge (Printf.sprintf "bench.%s.ns_per_run" name) ns;
     Printf.printf "  %-45s %12.0f ns/run\n%!" name ns;
     ns
   in
   let interp_ns = time_ns "interp" (fun () -> Interp.run hooks info.Branchinfo.program) in
   let compiled_ns = time_ns "compiled" (fun () -> Compile.run cp hooks) in
   let speedup = interp_ns /. compiled_ns in
-  Obs.Metrics.set (Obs.Metrics.gauge "bench.exec_mode.speedup") speedup;
+  gauge "bench.exec_mode.speedup" speedup;
   Printf.printf "  %-45s %12.1fx\n%!" "compiled speedup" speedup;
   if speedup < 2.0 then begin
     Printf.eprintf "FAIL: compiled executor only %.2fx over the interpreter (< 2x)\n"
@@ -303,9 +307,10 @@ let run () =
     (fun (name, result) ->
       match Analyze.OLS.estimates result with
       | Some [ est ] ->
-        Obs.Metrics.set (Obs.Metrics.gauge (gauge_name name)) est;
+        gauge (gauge_name name) est;
         Printf.printf "  %-45s %12.0f ns/run\n%!" name est
       | Some _ | None -> Printf.printf "  %-45s %12s\n%!" name "n/a")
     (List.sort (fun (a, _) (b, _) -> String.compare a b) rows);
   exec_mode_check ();
-  span_overhead_check ()
+  span_overhead_check ();
+  !gauges

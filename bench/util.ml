@@ -87,12 +87,16 @@ let repeat reps f = List.init reps f
 let compare_line ~label ~paper ~measured =
   Printf.printf "  %-40s paper: %-18s measured: %s\n%!" label paper measured
 
-(* Persist the whole metrics registry (bench gauges plus whatever the
-   engine accumulated while benchmarks ran: solver latency histograms,
-   interpreter step counts) — the BENCH_*.json perf
-   trajectory the roadmap tracks across PRs. *)
-let write_metrics_json path =
+(* Persist named bench gauges as [{"metrics": {name: value, …}}], names
+   sorted — the BENCH_*.json perf trajectory the roadmap tracks across
+   PRs. *)
+let write_metrics_json path gauges =
+  let metrics =
+    List.sort (fun (a, _) (b, _) -> String.compare a b) gauges
+    |> List.map (fun (name, v) -> (name, Obs.Json.Float v))
+  in
+  let doc = Obs.Json.Obj [ ("metrics", Obs.Json.Obj metrics) ] in
   Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc (Obs.Json.to_string (Obs.Metrics.snapshot_json ()));
+      Out_channel.output_string oc (Obs.Json.to_string doc);
       Out_channel.output_char oc '\n');
-  Printf.printf "metrics snapshot written to %s\n%!" path
+  Printf.printf "bench metrics written to %s\n%!" path

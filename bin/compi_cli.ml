@@ -216,16 +216,8 @@ let trace_events_arg ?docs () =
     & info [ "trace-events" ] ?docs ~docv:"FILE.jsonl"
         ~doc:"Stream structured telemetry events to $(docv) as JSON Lines")
 
-let metrics_arg ?docs () =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics" ] ?docs ~docv:"FILE.json"
-        ~doc:"Write the metrics registry snapshot (counters, gauges, histograms) \
-              to $(docv) when the campaign ends")
-
-(* Install a JSONL sink for the duration of [f]; afterwards dump the
-   metrics snapshot. Both files are optional and independent.
+(* Install a JSONL sink (and arm the timeline) for the duration of [f]
+   when a trace file is given; otherwise just run [f].
 
    While the sink is live, SIGINT/SIGTERM flush the buffered tail to
    the trace file before re-raising the default action, so a killed
@@ -233,11 +225,12 @@ let metrics_arg ?docs () =
    override these handlers for checkpointing while it runs — it parks
    at a merge point instead of dying, and restores ours on the way
    out, so both behaviours compose.) *)
-let with_telemetry ~trace_events ~metrics f =
-  let oc = Option.map open_out trace_events in
-  (match oc with
-  | Some oc ->
-    Obs.Sink.install (Obs.Sink.Channel_sink oc);
+let with_telemetry ~trace_events f =
+  match trace_events with
+  | None -> f ()
+  | Some path ->
+    let chan = open_out path in
+    Obs.Sink.install (Obs.Sink.Channel_sink chan);
     (* live traces should be tailable: flush the channel every ~half
        second (or 512 events) so [compi-cli watch --trace] sees events
        while the campaign runs, not just at exit. Autoflush is off by
@@ -245,11 +238,8 @@ let with_telemetry ~trace_events ~metrics f =
     Obs.Sink.set_autoflush ~events:512 ~seconds:0.5 ();
     (* tracing implies spans: arm the per-domain timeline so the trace
        carries the material [compi-cli profile] folds *)
-    Obs.Timeline.enable ()
-  | None -> ());
-  let old_handlers =
-    if Option.is_none oc then []
-    else
+    Obs.Timeline.enable ();
+    let old_handlers =
       List.filter_map
         (fun sg ->
           match
@@ -264,30 +254,19 @@ let with_telemetry ~trace_events ~metrics f =
           | old -> Some (sg, old)
           | exception (Invalid_argument _ | Sys_error _) -> None)
         [ Sys.sigint; Sys.sigterm ]
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun (sg, old) ->
-          try Sys.set_signal sg old with Invalid_argument _ | Sys_error _ -> ())
-        old_handlers;
-      (match oc with
-      | Some chan ->
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter
+          (fun (sg, old) ->
+            try Sys.set_signal sg old with Invalid_argument _ | Sys_error _ -> ())
+          old_handlers;
         Obs.Timeline.drain ();
         Obs.Timeline.disable ();
         Obs.Sink.uninstall ();
         close_out chan;
-        Printf.printf "events written to %s\n"
-          (Option.get trace_events)
-      | None -> ());
-      match metrics with
-      | Some path ->
-        Out_channel.with_open_text path (fun mc ->
-            Out_channel.output_string mc (Obs.Json.to_string (Obs.Metrics.snapshot_json ()));
-            Out_channel.output_char mc '\n');
-        Printf.printf "metrics snapshot written to %s\n" path
-      | None -> ())
-    f
+        Printf.printf "events written to %s\n" path)
+      f
 
 let save_arg =
   Arg.(
@@ -317,12 +296,12 @@ let annotate_arg =
 
 let test_cmd =
   let run t iterations time seed nprocs caps no_reduce one_way no_fwk strategy save_bugs
-      csv curve uncovered_n annotate trace_events metrics =
+      csv curve uncovered_n annotate trace_events =
     let info, settings =
       settings_of t iterations time seed nprocs caps no_reduce one_way no_fwk strategy
     in
     let result =
-      with_telemetry ~trace_events ~metrics (fun () ->
+      with_telemetry ~trace_events (fun () ->
           Compi.Variants.(run ~label:t.Targets.Registry.name Compi_default) ~settings info)
     in
     report result;
@@ -362,7 +341,7 @@ let test_cmd =
       const run $ target_arg $ iterations_arg () $ time_arg () $ seed_arg ()
       $ nprocs_arg () $ cap_arg () $ no_reduce_arg $ one_way_arg $ no_fwk_arg
       $ strategy_arg () $ save_arg $ csv_arg $ curve_arg $ uncovered_arg $ annotate_arg
-      $ trace_events_arg () $ metrics_arg ())
+      $ trace_events_arg ())
 
 (* ------------------------------------------------------------------ *)
 (* run: a campaign with telemetry-first ergonomics                     *)
@@ -485,7 +464,7 @@ let run_cmd =
   in
   let run t iterations time seed nprocs caps strategy exec_mode schedules schedule_depth
       jobs batch solver_cache checkpoint checkpoint_every resume coverage_report
-      status_file ledger trace_events metrics =
+      status_file ledger trace_events =
     let info, base =
       settings_of t iterations time seed nprocs caps false false false strategy
     in
@@ -506,7 +485,7 @@ let run_cmd =
     in
     let result =
       try
-        with_telemetry ~trace_events ~metrics (fun () ->
+        with_telemetry ~trace_events (fun () ->
             Compi.Campaign.run ~settings ~label:t.Targets.Registry.name info)
       with Compi.Checkpoint.Load_error e ->
         Printf.eprintf "cannot resume: %s\n" (Compi.Checkpoint.error_to_string e);
@@ -570,7 +549,7 @@ let run_cmd =
       `P "Crash-safe snapshots and resumption.";
       `S s_telemetry;
       `P
-        "Structured event streams, metrics snapshots and canonical reports for \
+        "Structured event streams and canonical reports for \
          $(b,compi-cli explain)/$(b,report)/$(b,profile).";
     ]
   in
@@ -579,7 +558,7 @@ let run_cmd =
        ~doc:
          "Run a COMPI campaign on the parallel engine ($(b,--jobs), \
           $(b,--solver-cache)) with structured telemetry \
-          ($(b,--trace-events)/$(b,--metrics)); like $(b,test) but the target is \
+          ($(b,--trace-events)); like $(b,test) but the target is \
           named with $(b,--target)")
     Term.(
       const run $ target_opt_arg $ iterations_arg ~docs:s_execution ()
@@ -589,7 +568,7 @@ let run_cmd =
       $ schedules_arg $ schedule_depth_arg
       $ jobs_arg $ batch_arg $ solver_cache_arg $ checkpoint_arg $ checkpoint_every_arg
       $ resume_arg $ coverage_report_arg $ status_file_arg $ run_ledger_arg
-      $ trace_events_arg ~docs:s_telemetry () $ metrics_arg ~docs:s_telemetry ())
+      $ trace_events_arg ~docs:s_telemetry ())
 
 (* ------------------------------------------------------------------ *)
 (* replay: saved test cases, or a JSONL telemetry trace                *)

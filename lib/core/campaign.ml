@@ -126,16 +126,7 @@ type done_item =
 
 (* --- telemetry ----------------------------------------------------- *)
 
-let m_iterations = Obs.Metrics.counter "driver.iterations"
-let m_restarts = Obs.Metrics.counter "driver.restarts"
-let m_faults = Obs.Metrics.counter "driver.faults"
-let m_checkpoints = Obs.Metrics.counter "campaign.checkpoints"
-let m_cs_size = Obs.Metrics.histogram "driver.constraint_set"
-let g_covered = Obs.Metrics.gauge "driver.covered"
-let g_reachable = Obs.Metrics.gauge "driver.reachable"
-
 let emit_restart ~iteration reason =
-  Obs.Metrics.incr m_restarts;
   Obs.Sink.emit (Obs.Event.Restart { iteration; reason })
 
 let origin_fields = function
@@ -474,12 +465,10 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
       end;
       Coverage.absorb ~into:coverage r.Runner.coverage;
       max_cs := max !max_cs r.Runner.constraint_set_size;
-      Obs.Metrics.observe_int m_cs_size r.Runner.constraint_set_size;
       last_np := (p.Driver.p_nprocs, p.Driver.p_focus);
       let faults = Runner.faults r in
       List.iter
         (fun (rank, fault) ->
-          Obs.Metrics.incr m_faults;
           if Obs.Sink.active () then
             Obs.Sink.emit
               (Obs.Event.Fault
@@ -546,9 +535,6 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
         Branchinfo.reachable_branches info ~encountered:(Coverage.encountered coverage)
       in
       last_reachable := reachable;
-      Obs.Metrics.incr m_iterations;
-      Obs.Metrics.set g_covered (float_of_int covered_now);
-      Obs.Metrics.set g_reachable (float_of_int reachable);
       if Obs.Sink.active () then
         Obs.Sink.emit
           (Obs.Event.Iter_end
@@ -670,7 +656,6 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
       Obs.Timeline.span "checkpoint" (fun () -> Checkpoint.save ~dir ~target:label snap)
     in
     incr checkpoints_written;
-    Obs.Metrics.incr m_checkpoints;
     Obs.Sink.emit
       (Obs.Event.Checkpoint_write
          { iteration = !iter; path = Checkpoint.file ~dir; bytes })

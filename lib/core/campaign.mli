@@ -111,8 +111,7 @@ val run : ?settings:settings -> ?label:string -> Minic.Branchinfo.t -> result
     [campaign_start] event); it does not affect the campaign. With an
     {!Obs.Sink} installed the engine emits the full event vocabulary
     (campaign/iteration boundaries, negation attempts, restarts, faults,
-    coverage deltas, lineage, worker, cache and checkpoint events); it
-    always feeds the [driver.*] metrics. Raises
+    coverage deltas, lineage, worker, cache and checkpoint events). Raises
     {!Checkpoint.Load_error} when [resume] is set and the checkpoint
     cannot be used (never partially applies one). *)
 

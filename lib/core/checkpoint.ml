@@ -58,8 +58,9 @@ type snapshot = {
    [p_schedule], [Execution.t] gained [exec_schedule], and the snapshot
    gained [ck_schedules] (enumerated-but-unexecuted schedule forks)
    version 5: [Execution.t] gained [closure_index], the per-run closure
-   index negation preparation reads from *)
-let version = 5
+   index negation preparation reads from
+   version 6: [Smt.Cache.t] is one table/queue pair again (no shards) *)
+let version = 6
 let magic = "COMPI-CKPT"
 let file ~dir = Filename.concat dir "campaign.ckpt"
 let corpus_file ~dir = Filename.concat dir "corpus.txt"

@@ -175,10 +175,6 @@ let light_hooks config ~mpi ~cover =
     step_limit = config.step_limit;
   }
 
-let m_runs = Obs.Metrics.counter "runner.runs"
-let m_cs_size = Obs.Metrics.histogram "runner.constraint_set"
-let m_log_bytes = Obs.Metrics.histogram "runner.focus_log_bytes"
-
 let run_raw config =
   let program = config.info.Branchinfo.program in
   let exec =
@@ -268,8 +264,6 @@ let run_raw config =
         !total / (config.nprocs - 1)
       end
     in
-    Obs.Metrics.observe_int m_cs_size (Pathlog.constraint_count focus_log);
-    Obs.Metrics.observe_int m_log_bytes (String.length focus_serialized);
     Ok
       {
         execution;
@@ -287,5 +281,4 @@ let run_raw config =
       }
 
 let run config =
-  Obs.Metrics.incr m_runs;
   Obs.Timeline.span "exec" (fun () -> run_raw config)

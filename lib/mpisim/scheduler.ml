@@ -111,14 +111,6 @@ let coll_signature (req : Mpi_iface.request) =
 
 let mpi_fault message = Fault.Fault (Fault.Mpi_error { message; func = "<mpi>" })
 
-(* --- telemetry ---------------------------------------------------- *)
-
-let m_runs = Obs.Metrics.counter "sched.runs"
-let m_messages = Obs.Metrics.counter "sched.messages"
-let m_collectives = Obs.Metrics.counter "sched.collectives"
-let m_deadlocks = Obs.Metrics.counter "sched.deadlocks"
-let m_msgs_per_run = Obs.Metrics.histogram "sched.messages_per_run"
-
 type sched = {
   nprocs : int;
   registry : Rankmap.t;
@@ -131,7 +123,6 @@ type sched = {
   pending_waits : (int, pending_wait) Hashtbl.t;  (* per waiting rank *)
   on_event : Trace.event -> unit;
   mutable deadlocked : int list;
-  mutable msg_count : int;
   lazy_wildcards : bool;
       (* schedule mode: wildcard-source receives never match eagerly;
          they are served one per quiescent round by [serve_choice] *)
@@ -207,7 +198,6 @@ let crash_all s arrivals message =
   List.iter (fun a -> crash s a.arr_rank a.arr_k message) arrivals
 
 let complete_collective s comm (site : site) =
-  Obs.Metrics.incr m_collectives;
   let arrivals = List.sort (fun a b -> Int.compare a.arr_local b.arr_local) site.arrivals in
   notify s
     (Trace.Collective
@@ -375,8 +365,6 @@ let handle_request s rank req k =
         crash s rank k (Printf.sprintf "send to invalid rank %d (size %d)" dest size)
       else begin
         let msg = { src_local = my_local; src_global = rank; tag; data } in
-        s.msg_count <- s.msg_count + 1;
-        Obs.Metrics.incr m_messages;
         notify s (Trace.Send { from_rank = rank; to_local = dest; comm; tag });
         (* matching priority: a blocked Recv first, then posted Irecvs in
            post order, then the mailbox. (Strict MPI interleaves blocked
@@ -645,7 +633,6 @@ let break_deadlock s =
     s.sites;
   Hashtbl.reset s.sites;
   if !blocked <> [] then begin
-    Obs.Metrics.incr m_deadlocks;
     List.iter
       (fun (rank, kind, peer, comm) -> notify s (Trace.Witness { rank; comm; kind; peer }))
       (List.sort compare !edges);
@@ -674,14 +661,12 @@ let run ?(max_procs = default_max_procs) ?(on_event = fun (_ : Trace.event) -> (
         Array.init nprocs (fun _ -> { next_handle = 1; statuses = Hashtbl.create 8 });
       pending_waits = Hashtbl.create 8;
       deadlocked = [];
-      msg_count = 0;
       lazy_wildcards = schedule <> None;
       presc = Option.value schedule ~default:[];
       choices_rev = [];
       choice_points = 0;
     }
   in
-  Obs.Metrics.incr m_runs;
   for rank = 0 to nprocs - 1 do
     Queue.push (rank, fun () -> start_fiber (fun () -> body ~rank ~mpi:mpi_handler)) s.runq
   done;
@@ -699,7 +684,6 @@ let run ?(max_procs = default_max_procs) ?(on_event = fun (_ : Trace.event) -> (
       end
   in
   Obs.Timeline.span "schedule" settle;
-  Obs.Metrics.observe_int m_msgs_per_run s.msg_count;
   let leaked =
     Hashtbl.fold
       (fun (comm, dest) q acc ->

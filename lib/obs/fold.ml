@@ -284,24 +284,16 @@ let step_line st raw =
 
 let finish st =
   let lineage = List.sort (fun a b -> compare a.ln_test b.ln_test) st.s_lineage in
+  (* only negated tests target a branch: a schedule fork's [ln_branch]
+     slot holds the alternative source rank, not a branch id *)
   let first_for_branch = Hashtbl.create 64 in
   List.iter
     (fun n ->
-      if n.ln_branch >= 0 && not (Hashtbl.mem first_for_branch n.ln_branch) then
+      if n.ln_origin = "negated" && not (Hashtbl.mem first_for_branch n.ln_branch) then
         Hashtbl.add first_for_branch n.ln_branch n.ln_test)
     lineage;
-  (* branches seen only through a producing test (old traces without
-     lineage_negation lines) still get a row; the zero rows are grafted
-     here rather than written back so [finish] stays read-only *)
-  let negs = sorted_assoc st.s_negs in
-  let extra =
-    Hashtbl.fold
-      (fun branch _ acc ->
-        if Hashtbl.mem st.s_negs branch then acc else (branch, (0, 0, 0, 0, 0)) :: acc)
-      first_for_branch []
-  in
   let branches =
-    List.sort compare (extra @ negs)
+    sorted_assoc st.s_negs
     |> List.map (fun (branch, (a, sa, us, uk, ca)) ->
            {
              br_branch = branch;
@@ -390,10 +382,7 @@ let chain t id =
 let first_test_for_branch t branch =
   match List.find_opt (fun b -> b.br_branch = branch) t.branches with
   | Some b when b.br_first_test >= 0 -> Some b.br_first_test
-  | _ -> (
-    match List.find_opt (fun n -> n.ln_branch = branch) t.lineage with
-    | Some n -> Some n.ln_test
-    | None -> None)
+  | _ -> None
 
 let lineage_errors t =
   let errs = ref [] in

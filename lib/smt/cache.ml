@@ -25,23 +25,15 @@
    attempt under the same budget is equally cheap to re-refuse, and a
    raised budget should get its chance.
 
-   Ownership: the table is split into [khash]-indexed shards and holds
-   no lock at all. The pipelined campaign engine is the single writer
-   and only mutates from the main domain at deterministic points —
-   probes at candidate dispatch, verdict publication at the ordered
-   merge — so every cache state transition happens at a work-list
-   position that is identical at any [--jobs], which is what makes
-   campaigns reproducible regardless of worker count. Concurrent
-   multi-domain mutation is not supported.
-   Sharding keeps per-shard FIFO queues short so eviction scans stay
-   O(shard) instead of O(table), and gives the checkpoint a layout that
-   marshals directly.
-
-   The shard count is derived from capacity — one shard per 256 slots,
-   clamped to [1, 16] and rounded down to a power of two — so small
-   caches (tests use capacity 2) keep the exact global-FIFO eviction
-   order of the unsharded design, while the default 4096-slot cache
-   gets 16 × 256-slot shards. *)
+   Ownership: one table and one FIFO queue, no lock. The pipelined
+   campaign engine is the single writer and only mutates from the main
+   domain at deterministic points — probes at candidate dispatch,
+   verdict publication at the ordered merge — so every cache state
+   transition happens at a work-list position that is identical at any
+   [--jobs], which is what makes campaigns reproducible regardless of
+   worker count. Concurrent multi-domain mutation is not supported. At
+   capacity the oldest entry is evicted; the record marshals directly
+   into checkpoints. *)
 
 type outcome = Sat of Model.t | Unsat
 
@@ -95,16 +87,10 @@ module Tbl = Hashtbl.Make (struct
   let equal = key_equal
 end)
 
-type shard = {
-  table : outcome Tbl.t;
-  order : key Queue.t;  (* insertion order, for per-shard FIFO eviction *)
-}
-
 type t = {
   capacity : int;
-  shard_capacity : int;
-  mask : int;  (* nshards - 1; nshards is a power of two *)
-  shards : shard array;
+  table : outcome Tbl.t;
+  order : key Queue.t;  (* insertion order, for FIFO eviction *)
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -112,59 +98,25 @@ type t = {
 
 type stats = { hits : int; misses : int; evictions : int; entries : int }
 
-let m_hits = Obs.Metrics.counter "cache.hits"
-let m_misses = Obs.Metrics.counter "cache.misses"
-let m_evictions = Obs.Metrics.counter "cache.evictions"
-let g_entries = Obs.Metrics.gauge "cache.entries"
-let g_shards = Obs.Metrics.gauge "cache.shards"
-let g_shard_max = Obs.Metrics.gauge "cache.shard_entries.max"
-
 let default_capacity = 4096
 
-(* largest power of two <= n, for n >= 1 *)
-let pow2_floor n =
-  let p = ref 1 in
-  while !p * 2 <= n do
-    p := !p * 2
-  done;
-  !p
-
 let create ?(capacity = default_capacity) () =
-  let capacity = max 1 capacity in
-  let nshards = pow2_floor (max 1 (min 16 (capacity / 256))) in
-  Obs.Metrics.set g_shards (float_of_int nshards);
   {
-    capacity;
-    shard_capacity = max 1 (capacity / nshards);
-    mask = nshards - 1;
-    shards =
-      Array.init nshards (fun _ ->
-          { table = Tbl.create 256; order = Queue.create () });
+    capacity = max 1 capacity;
+    table = Tbl.create 256;
+    order = Queue.create ();
     hits = 0;
     misses = 0;
     evictions = 0;
   }
 
-let nshards t = Array.length t.shards
-
-let shard_of t k = t.shards.(k.khash land t.mask)
-
-let entries t =
-  Array.fold_left (fun acc s -> acc + Tbl.length s.table) 0 t.shards
-
-let shard_entries_max t =
-  Array.fold_left (fun acc s -> max acc (Tbl.length s.table)) 0 t.shards
+let entries t = Tbl.length t.table
 
 let find t k =
-  let s = shard_of t k in
-  let r = Obs.Timeline.span "cache.probe" (fun () -> Tbl.find_opt s.table k) in
+  let r = Obs.Timeline.span "cache.probe" (fun () -> Tbl.find_opt t.table k) in
   (match r with
-  | Some _ ->
-    t.hits <- t.hits + 1;
-    Obs.Metrics.incr m_hits
-  | None ->
-    t.misses <- t.misses + 1;
-    Obs.Metrics.incr m_misses);
+  | Some _ -> t.hits <- t.hits + 1
+  | None -> t.misses <- t.misses + 1);
   if Obs.Sink.active () then
     Obs.Sink.emit
       (Obs.Event.Cache_lookup
@@ -172,26 +124,16 @@ let find t k =
   r
 
 let add t k outcome =
-  let s = shard_of t k in
-  if not (Tbl.mem s.table k) then begin
-    let dropped = ref 0 in
-    while Tbl.length s.table >= t.shard_capacity && not (Queue.is_empty s.order) do
-      let oldest = Queue.pop s.order in
-      if Tbl.mem s.table oldest then begin
-        Tbl.remove s.table oldest;
-        incr dropped
-      end
-    done;
-    if !dropped > 0 then begin
-      t.evictions <- t.evictions + !dropped;
-      Obs.Metrics.incr ~by:!dropped m_evictions;
+  if not (Tbl.mem t.table k) then begin
+    (* the queue holds exactly the table's keys, so one pop frees a slot *)
+    if Tbl.length t.table >= t.capacity then begin
+      Tbl.remove t.table (Queue.pop t.order);
+      t.evictions <- t.evictions + 1;
       if Obs.Sink.active () then
-        Obs.Sink.emit (Obs.Event.Cache_evict { dropped = !dropped; entries = entries t })
+        Obs.Sink.emit (Obs.Event.Cache_evict { dropped = 1; entries = entries t })
     end;
-    Tbl.replace s.table k outcome;
-    Queue.push k s.order;
-    Obs.Metrics.set g_entries (float_of_int (entries t));
-    Obs.Metrics.set g_shard_max (float_of_int (shard_entries_max t))
+    Tbl.replace t.table k outcome;
+    Queue.push k t.order
   end
 
 let stats (t : t) =

@@ -9,23 +9,17 @@
     makes structurally identical runs produce identical keys, so paths
     re-explored after a restart hit.
 
-    Probes and insertions feed the [cache.hits]/[cache.misses]/
-    [cache.evictions] counters, the [cache.entries]/[cache.shards]/
-    [cache.shard_entries.max] gauges, and — when a sink is active — the
-    [cache_lookup]/[cache_evict] events.
+    Probes and insertions count into {!stats} and — when a sink is
+    active — emit the [cache_lookup]/[cache_evict] events.
 
-    The table is split into hash-indexed shards and is lock-free:
-    [find]/[add] take no mutex at all. The pipelined campaign engine is
-    the single writer — it probes at candidate dispatch and publishes
-    verdicts at the ordered merge, both on the main domain — so every
-    cache state transition happens at a work-list position that is
-    identical at any [--jobs]. That protocol, not a lock, is what keeps
-    campaign results independent of the worker count; concurrent
-    multi-domain mutation is not supported. Each probe records a
-    [cache.probe] span when the {!Obs.Timeline} is enabled. The shard
-    count is derived from capacity (one shard per 256 slots, clamped to
-    [1, 16], power of two), so small caches behave exactly like the old
-    single-table design, including its global FIFO eviction order. *)
+    The table takes no lock: [find]/[add] take no mutex at all. The
+    pipelined campaign engine is the single writer — it probes at
+    candidate dispatch and publishes verdicts at the ordered merge, both
+    on the main domain — so every cache state transition happens at a
+    work-list position that is identical at any [--jobs]. That protocol,
+    not a lock, is what keeps campaign results independent of the worker
+    count; concurrent multi-domain mutation is not supported. Each probe
+    records a [cache.probe] span when the {!Obs.Timeline} is enabled. *)
 
 type outcome = Sat of Model.t | Unsat
 
@@ -63,16 +57,13 @@ val default_capacity : int
 
 val create : ?capacity:int -> unit -> t
 
-val nshards : t -> int
-(** Number of shards the capacity was split into. *)
-
 val find : t -> key -> outcome option
 (** Counts a hit or a miss, and emits a [cache_lookup] event when a sink
     is active. *)
 
 val add : t -> key -> outcome -> unit
-(** First verdict wins: re-adding an existing key is a no-op. At shard
-    capacity, the oldest entries of that shard are evicted FIFO. *)
+(** First verdict wins: re-adding an existing key is a no-op. At
+    capacity, the oldest entry is evicted FIFO. *)
 
 val entries : t -> int
 

@@ -198,46 +198,29 @@ let solve_raw ~budget ~domains ~nodes cs =
 
 (* --- telemetry ---------------------------------------------------- *)
 
-let m_calls = Obs.Metrics.counter "solver.calls"
-let m_sat = Obs.Metrics.counter "solver.sat"
-let m_unsat = Obs.Metrics.counter "solver.unsat"
-let m_unknown = Obs.Metrics.counter "solver.unknown"
-let m_latency = Obs.Metrics.histogram "solver.latency_s"
-let m_nodes = Obs.Metrics.histogram "solver.nodes"
-
 let count_vars cs =
   Varid.Set.cardinal
     (List.fold_left (fun acc c -> Varid.Set.union acc (Constr.vars c)) Varid.Set.empty cs)
 
-(* Wrap one solver entry with latency/outcome accounting and, when a
-   trace sink is live, a [Solver_call] event. The timeline span kind is
-   "solver.call", distinct from the campaign's enclosing "solve" span:
-   the difference between the two is key-construction and bookkeeping
-   overhead around the actual search. *)
+(* Wrap one solver entry in a timeline span and, when a trace sink is
+   live, a [Solver_call] event carrying its outcome, nodes and latency.
+   The span kind is "solver.call", distinct from the campaign's
+   enclosing "solve" span: the difference between the two is
+   key-construction and bookkeeping overhead around the actual
+   search. *)
 let instrumented ~incremental cs f =
   let nodes = ref 0 in
   let outcome, dt = Obs.Timeline.timed "solver.call" (fun () -> f nodes) in
-  Obs.Metrics.incr m_calls;
-  Obs.Metrics.observe m_latency dt;
-  Obs.Metrics.observe_int m_nodes !nodes;
-  let obs_outcome =
-    match outcome with
-    | Sat _ ->
-      Obs.Metrics.incr m_sat;
-      Obs.Event.Sat
-    | Unsat ->
-      Obs.Metrics.incr m_unsat;
-      Obs.Event.Unsat
-    | Unknown ->
-      Obs.Metrics.incr m_unknown;
-      Obs.Event.Unknown
-  in
   if Obs.Sink.active () then
     Obs.Sink.emit
       (Obs.Event.Solver_call
          {
            incremental;
-           outcome = obs_outcome;
+           outcome =
+             (match outcome with
+             | Sat _ -> Obs.Event.Sat
+             | Unsat -> Obs.Event.Unsat
+             | Unknown -> Obs.Event.Unknown);
            nodes = !nodes;
            vars = count_vars cs;
            constraints = List.length cs;

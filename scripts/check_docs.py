@@ -8,7 +8,10 @@ that don't exist:
      (external URLs and #anchors are skipped);
   2. inline-code file references like `lib/core/campaign.ml` that don't
      resolve (globs like `examples/programs/*.mc` must match something);
-  3. CLI flags like `--jobs` that bin/compi_cli.ml does not define;
+  3. CLI flags like `--jobs` that bin/compi_cli.ml does not define,
+     and, in fenced code blocks, `compi_cli.exe ...`/`compi-cli ...`
+     command lines (`\` continuations joined) whose subcommand
+     bin/compi_cli.ml does not define or whose flags it does not define;
   4. telemetry vocabulary drift: every event kind `lib/obs/event.ml`
      can emit must have a `### `kind`` section in docs/TELEMETRY.md;
      every literal span kind passed to `Timeline.span`/`timed`/
@@ -23,7 +26,10 @@ profile, status, watch, history, compare)
 and cross-checks the live help text: the checkpoint/resume,
 observatory and live-monitor/ledger flags must exist in the binary AND
 be documented, and every flag the help mentions must also be found by
-the source-level regex (so the regex cannot silently rot).
+the source-level regex (so the regex cannot silently rot). Every fenced
+command line is then also checked against its own subcommand's live
+`--help`, so a flag documented on a subcommand that does not take it
+fails.
 
 Run from the repository root: python3 scripts/check_docs.py
 """
@@ -49,6 +55,9 @@ FENCE_RE = re.compile(r"^```.*?^```", re.M | re.S)
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 CODE_RE = re.compile(r"`([^`\n]+)`")
 FLAG_RE = re.compile(r"(?<![\w-])(--[a-z][a-z0-9-]*)")
+CMD_RE = re.compile(r"(?:compi_cli\.exe|compi-cli)(?![\w-])(.*)")
+# where a shell line stops being the command: a comment, pipe, && or ;
+CMD_END_RE = re.compile(r"\s(?:#|\||&&|;)")
 
 # Flags cmdliner generates for every command.
 BUILTIN_FLAGS = {"--help", "--version"}
@@ -172,6 +181,40 @@ def cli_flags():
     return flags
 
 
+def cli_subcommands():
+    """Subcommand names bin/compi_cli.ml defines via `Cmd.info "name"`."""
+    src = open(os.path.join(ROOT, "bin", "compi_cli.ml")).read()
+    return set(re.findall(r'Cmd\.info\s+"([a-z-]+)"', src))
+
+
+def fenced_commands(text):
+    """(subcommand, flags) of every compi-cli command line in a fenced
+    block, with `\\` continuations joined."""
+    for block in FENCE_RE.findall(text):
+        for line in re.sub(r"\\\n", " ", block).splitlines():
+            m = CMD_RE.search(line)
+            if not m:
+                continue
+            rest = CMD_END_RE.split(" " + m.group(1))[0]
+            words = [w for w in rest.split() if w != "--"]
+            sub = words[0] if words and not words[0].startswith("-") else None
+            yield sub, FLAG_RE.findall(rest)
+
+
+def check_fenced_commands(path, subcommands, flags_of, errors):
+    """Each fenced command line names a defined subcommand and only
+    flags that [flags_of(subcommand)] allows."""
+    rel = os.path.relpath(path, ROOT)
+    for sub, flags in fenced_commands(open(path).read()):
+        if sub not in subcommands:
+            errors.append(f"{rel}: command line with unknown subcommand {sub!r}")
+            continue
+        allowed = flags_of(sub)
+        for flag in flags:
+            if flag not in allowed:
+                errors.append(f"{rel}: `{sub}` does not take {flag}")
+
+
 def help_flags(exe, cmd):
     """Flags `EXE <cmd> --help` actually reports (live binary truth)."""
     out = subprocess.run(
@@ -248,11 +291,26 @@ def main():
     args = parser.parse_args()
 
     flags = cli_flags()
+    subcommands = cli_subcommands()
     errors = []
     doc_flags = set()
+    live_flags = {}
+
+    def flags_of(sub):
+        if not args.exe:
+            return flags
+        if sub not in live_flags:
+            try:
+                live_flags[sub] = help_flags(args.exe, sub)
+            except (OSError, subprocess.CalledProcessError) as e:
+                errors.append(f"{args.exe}: cannot query `{sub} --help`: {e}")
+                live_flags[sub] = flags
+        return live_flags[sub]
+
     for path in DOC_FILES:
         if os.path.exists(path):
             check_file(path, flags, errors, doc_flags)
+            check_fenced_commands(path, subcommands, flags_of, errors)
         else:
             errors.append(
                 f"missing documentation file: {os.path.relpath(path, ROOT)}"

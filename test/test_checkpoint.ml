@@ -172,20 +172,25 @@ let test_load_version_mismatch () =
     (Compi.Checkpoint.load ~dir)
 
 (* A version-4 snapshot (from before [Execution.t] gained its closure
-   index) has an intact header and digest: it must be refused by the
+   index) or version-5 snapshot (from before [Smt.Cache.t] lost its
+   shards) has an intact header and digest: it must be refused by the
    version check, before its payload is unmarshalled as the new layout. *)
 let test_load_previous_version () =
   let raw = real_checkpoint_bytes () in
   let nl = String.index raw '\n' in
-  let v4 = "COMPI-CKPT 4" ^ String.sub raw nl (String.length raw - nl) in
-  let dir = fresh_dir () in
-  plant dir v4;
-  expect_error "version-4 header"
-    (function
-      | Compi.Checkpoint.Version_mismatch { found = 4; expected } ->
-        expected = Compi.Checkpoint.version
-      | _ -> false)
-    (Compi.Checkpoint.load ~dir)
+  List.iter
+    (fun v ->
+      let old = Printf.sprintf "COMPI-CKPT %d" v ^ String.sub raw nl (String.length raw - nl) in
+      let dir = fresh_dir () in
+      plant dir old;
+      expect_error
+        (Printf.sprintf "version-%d header" v)
+        (function
+          | Compi.Checkpoint.Version_mismatch { found; expected } ->
+            found = v && expected = Compi.Checkpoint.version
+          | _ -> false)
+        (Compi.Checkpoint.load ~dir))
+    [ 4; 5 ]
 
 let test_load_truncated () =
   let raw = real_checkpoint_bytes () in

@@ -1,7 +1,7 @@
 (* Tests for the telemetry layer: the JSON emitter/parser round-trip,
-   the event vocabulary encoding, histogram bucketing edge cases, and
-   the guarantee that telemetry (null sink, metrics) never perturbs a
-   campaign's results. *)
+   the event vocabulary encoding, the sink's JSONL shape, and the
+   guarantee that an installed sink never perturbs a campaign's
+   results. *)
 
 (* ------------------------------------------------------------------ *)
 (* Json: escaping and round-trips                                      *)
@@ -184,116 +184,6 @@ let test_event_of_json_rejects () =
   reject "[1,2,3]"
 
 (* ------------------------------------------------------------------ *)
-(* Metrics: histogram bucketing edge cases                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_histogram_buckets () =
-  (* non-positive values land in the underflow bucket *)
-  Alcotest.(check int) "0 -> bucket 0" 0 (Obs.Metrics.bucket_index 0.0);
-  Alcotest.(check int) "-1 -> bucket 0" 0 (Obs.Metrics.bucket_index (-1.0));
-  Alcotest.(check int) "-inf -> bucket 0" 0 (Obs.Metrics.bucket_index Float.neg_infinity);
-  (* buckets are monotone in the value *)
-  let idx = List.map Obs.Metrics.bucket_index [ 1e-9; 1e-3; 1.0; 2.0; 1e6; 1e18 ] in
-  Alcotest.(check (list int)) "monotone" (List.sort_uniq compare idx) idx;
-  (* every probed value lies inside its bucket's bounds: bucket 0 is
-     (-inf, 0], positive buckets are [lo, hi) *)
-  List.iter
-    (fun v ->
-      let i = Obs.Metrics.bucket_index v in
-      let lo, hi = Obs.Metrics.bucket_bounds i in
-      Alcotest.(check bool)
-        (Printf.sprintf "%h in bucket %d [%h, %h)" v i lo hi)
-        true
-        (if i = 0 then v <= 0.0 else v >= lo && v < hi))
-    [ 1e-9; 0.5; 1.0; 1.5; 2.0; 1024.0; float_of_int max_int ];
-  (* max_int observes without escaping the bucket range *)
-  let h = Obs.Metrics.histogram "test.buckets" in
-  Obs.Metrics.observe_int h max_int;
-  Obs.Metrics.observe_int h 0;
-  Obs.Metrics.observe h 1e300;
-  Alcotest.(check int) "3 observations" 3 (Obs.Metrics.histogram_count h);
-  Alcotest.(check (float 1e280)) "sum tracks" (float_of_int max_int +. 1e300)
-    (Obs.Metrics.histogram_sum h)
-
-let test_histogram_snapshot () =
-  let get_hist name =
-    match Obs.Json.member "metrics" (Obs.Metrics.snapshot_json ()) with
-    | None -> Alcotest.fail "snapshot has no metrics object"
-    | Some m -> (
-      match Obs.Json.member name m with
-      | Some h -> h
-      | None -> Alcotest.failf "histogram %s missing from snapshot" name)
-  in
-  let buckets h =
-    match Obs.Json.member "buckets" h with
-    | Some b -> Option.get (Obs.Json.to_list b)
-    | None -> Alcotest.fail "no buckets field"
-  in
-  let int_field k j = Option.get (Obs.Json.to_int (Option.get (Obs.Json.member k j))) in
-  let float_field k j =
-    Option.get (Obs.Json.to_float (Option.get (Obs.Json.member k j)))
-  in
-  (* zero-count snapshot: count 0, empty bucket list, null min/max *)
-  let _ = Obs.Metrics.histogram "test.snap.empty" in
-  let h = get_hist "test.snap.empty" in
-  Alcotest.(check int) "empty count" 0 (int_field "count" h);
-  Alcotest.(check int) "empty buckets" 0 (List.length (buckets h));
-  Alcotest.(check bool) "empty min is null" true
-    (Obs.Json.member "min" h = Some Obs.Json.Null);
-  Alcotest.(check bool) "empty max is null" true
-    (Obs.Json.member "max" h = Some Obs.Json.Null);
-  (* negative and zero samples all land in the one underflow bucket,
-     whose lo exports as null (-inf is not representable in JSON) *)
-  let neg = Obs.Metrics.histogram "test.snap.neg" in
-  Obs.Metrics.observe neg 0.0;
-  Obs.Metrics.observe neg (-5.0);
-  Obs.Metrics.observe_int neg (-1);
-  let h = get_hist "test.snap.neg" in
-  Alcotest.(check int) "neg count" 3 (int_field "count" h);
-  (match buckets h with
-  | [ b ] ->
-    Alcotest.(check int) "underflow n" 3 (int_field "n" b);
-    Alcotest.(check bool) "underflow lo is null" true
-      (Obs.Json.member "lo" b = Some Obs.Json.Null);
-    Alcotest.(check (float 0.0)) "underflow hi" 0.0 (float_field "hi" b)
-  | bs -> Alcotest.failf "expected one underflow bucket, got %d" (List.length bs));
-  Alcotest.(check (float 1e-9)) "neg min" (-5.0) (float_field "min" h);
-  Alcotest.(check (float 1e-9)) "neg max" 0.0 (float_field "max" h);
-  (* single-bucket saturation: 1000 identical samples export exactly one
-     bucket holding all of them, with the value inside its bounds *)
-  let sat = Obs.Metrics.histogram "test.snap.sat" in
-  for _ = 1 to 1000 do
-    Obs.Metrics.observe sat 3.0
-  done;
-  let h = get_hist "test.snap.sat" in
-  Alcotest.(check int) "sat count" 1000 (int_field "count" h);
-  (match buckets h with
-  | [ b ] ->
-    Alcotest.(check int) "sat bucket n" 1000 (int_field "n" b);
-    let lo = float_field "lo" b and hi = float_field "hi" b in
-    Alcotest.(check bool) "3.0 inside [lo, hi)" true (lo <= 3.0 && 3.0 < hi)
-  | bs -> Alcotest.failf "expected one saturated bucket, got %d" (List.length bs));
-  Alcotest.(check (float 1e-6)) "sat sum" 3000.0 (Obs.Metrics.histogram_sum sat)
-
-let test_metrics_registry () =
-  let c = Obs.Metrics.counter "test.reg.c" in
-  Obs.Metrics.incr c;
-  Obs.Metrics.incr ~by:4 c;
-  Alcotest.(check int) "counter accumulates" 5 (Obs.Metrics.value c);
-  (* find-or-create returns the same instrument *)
-  Obs.Metrics.incr (Obs.Metrics.counter "test.reg.c");
-  Alcotest.(check int) "idempotent creation" 6 (Obs.Metrics.value c);
-  (* kind mismatch is a programming error *)
-  (match Obs.Metrics.gauge "test.reg.c" with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "kind mismatch accepted");
-  (* reset zeroes in place: the cached handle stays valid *)
-  Obs.Metrics.reset ();
-  Alcotest.(check int) "reset zeroes counter" 0 (Obs.Metrics.value c);
-  Obs.Metrics.incr c;
-  Alcotest.(check int) "handle survives reset" 1 (Obs.Metrics.value c)
-
-(* ------------------------------------------------------------------ *)
 (* Sink: emission shape, and the null sink changes nothing             *)
 (* ------------------------------------------------------------------ *)
 
@@ -368,9 +258,6 @@ let suite =
         Alcotest.test_case "json structures" `Quick test_json_structures;
         Alcotest.test_case "event round-trip (all kinds)" `Quick test_event_roundtrip;
         Alcotest.test_case "event decode rejects junk" `Quick test_event_of_json_rejects;
-        Alcotest.test_case "histogram bucket edges" `Quick test_histogram_buckets;
-        Alcotest.test_case "histogram snapshot edge cases" `Quick test_histogram_snapshot;
-        Alcotest.test_case "metrics registry" `Quick test_metrics_registry;
         Alcotest.test_case "buffer sink JSONL shape" `Quick test_buffer_sink;
         Alcotest.test_case "sinks do not perturb campaigns" `Quick
           test_null_sink_transparent;

@@ -217,6 +217,37 @@ let test_lineage_invariants () =
   Alcotest.(check (list string)) "paper-arm lineage sound" [] (Obs.Fold.lineage_errors fd);
   Alcotest.(check bool) "paper arm produced lineage" true (fd.Obs.Fold.lineage <> [])
 
+(* A schedule fork's lineage [branch] slot holds the alternative source
+   rank; only negated tests give a branch its first test, even when the
+   rank happens to equal a real branch id. *)
+let test_schedule_fork_not_first_test () =
+  let lt test parent origin branch index =
+    Obs.Event.Lineage_test { test; parent; origin; branch; index; cached = false }
+  in
+  let neg parent index branch =
+    Obs.Event.Lineage_negation
+      { parent; index; branch; outcome = Obs.Event.Sat; cached = false }
+  in
+  let f =
+    Obs.Fold.fold
+      [
+        lt 0 (-1) "seed" (-1) (-1);
+        lt 1 0 "schedule" 2 0;
+        neg 0 0 3;
+        lt 2 0 "negated" 3 0;
+        neg 2 1 2;
+        lt 3 2 "negated" 2 1;
+      ]
+  in
+  Alcotest.(check (list string)) "lineage sound" [] (Obs.Fold.lineage_errors f);
+  Alcotest.(check (option int)) "branch 2 first covered by the negation" (Some 3)
+    (Obs.Fold.first_test_for_branch f 2);
+  Alcotest.(check (list (pair int int))) "per-branch first tests"
+    [ (2, 3); (3, 2) ]
+    (List.map
+       (fun (b : Obs.Fold.branch_stat) -> (b.Obs.Fold.br_branch, b.Obs.Fold.br_first_test))
+       f.Obs.Fold.branches)
+
 (* ------------------------------------------------------------------ *)
 (* deadlock witness: the edges name the wait-for cycle                 *)
 (* ------------------------------------------------------------------ *)
@@ -357,6 +388,8 @@ let suite =
         Alcotest.test_case "unknown kinds skipped+counted" `Quick test_unknown_kinds_counted;
         Alcotest.test_case "roundtrip fold all kinds" `Quick test_roundtrip_fold_every_kind;
         Alcotest.test_case "lineage invariants" `Quick test_lineage_invariants;
+        Alcotest.test_case "schedule fork is not a branch's first test" `Quick
+          test_schedule_fork_not_first_test;
         Alcotest.test_case "deadlock witness cycle" `Quick test_deadlock_witness;
         Alcotest.test_case "collective witness no cycle" `Quick
           test_collective_witness_no_false_cycle;
