@@ -265,7 +265,17 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
      against an installed sink — spans are drained into it. *)
   let tl_owner = Obs.Sink.active () && not (Obs.Timeline.on ()) in
   if tl_owner then Obs.Timeline.enable ();
-  let campaign_tk = if Obs.Timeline.on () then Obs.Timeline.tick () else 0 in
+  (* once every span has closed, flush whatever the domains buffered
+     (shutdown's join has already fenced the workers) and release the
+     timeline if we own it *)
+  Fun.protect
+    ~finally:(fun () ->
+      if Obs.Timeline.on () then Obs.Timeline.drain ();
+      if tl_owner then Obs.Timeline.disable ())
+  @@ fun () ->
+  (* one "campaign" span over setup, every round and the teardown: its
+     self time is the engine's work outside any round *)
+  Obs.Timeline.span "campaign" @@ fun () ->
   let pool = Taskpool.create ~jobs:settings.jobs in
   (* A stop request from SIGINT/SIGTERM parks the campaign at the next
      merge position — the same cut the iteration budget uses — so the
@@ -292,18 +302,7 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
   Fun.protect
     ~finally:(fun () ->
       List.iter (fun (sg, old) -> try Sys.set_signal sg old with Invalid_argument _ | Sys_error _ -> ()) old_handlers;
-      Taskpool.shutdown pool;
-      (* one umbrella "campaign" span closes over setup, every round
-         and the teardown just done, so the profile can attribute the
-         engine's full extent even where no finer span runs; then flush
-         whatever the workers buffered (shutdown's join has already
-         fenced them) and release the timeline if we own it *)
-      if Obs.Timeline.on () then begin
-        Obs.Timeline.record ~kind:"campaign" ~t0:campaign_tk
-          ~t1:(Obs.Timeline.tick ());
-        Obs.Timeline.drain ()
-      end;
-      if tl_owner then Obs.Timeline.disable ())
+      Taskpool.shutdown pool)
   @@ fun () ->
   (match resumed with
   | Some (dir, sn) ->
@@ -463,6 +462,8 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
                  pruned = st.Mpisim.Schedule.st_pruned;
                })
       end;
+      (* O(1): the branch and function sets are persistent *)
+      let before = Coverage.copy coverage in
       Coverage.absorb ~into:coverage r.Runner.coverage;
       max_cs := max !max_cs r.Runner.constraint_set_size;
       last_np := (p.Driver.p_nprocs, p.Driver.p_focus);
@@ -516,6 +517,10 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
                  iteration = !iter;
                  covered_before = !best_covered;
                  covered_after = covered_now;
+                 branches =
+                   List.filter
+                     (fun b -> not (Coverage.mem_branch before b))
+                     (Coverage.branch_list r.Runner.coverage);
                });
         best_covered := covered_now;
         last_improvement := !iter
@@ -747,8 +752,8 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
              })
   in
   while !work <> [] && continue_ok () do
+    Obs.Timeline.span "round" @@ fun () ->
     incr rounds;
-    let round_tk = if Obs.Timeline.on () then Obs.Timeline.tick () else 0 in
     (* dispatch: probe the cache on the main domain, then build one
        fused task per work item *)
     let classified =
@@ -828,7 +833,6 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
        completion (executions there count as speculated) so the pool is
        quiescent and the tally matches the old round-barrier engine's
        at every cut point. *)
-    let inflight_tk = if Obs.Timeline.on () then Obs.Timeline.tick () else 0 in
     let st = Taskpool.stream pool thunks in
     let merge_one w item =
       match item with
@@ -911,20 +915,10 @@ let run ?(settings = default_settings) ?(label = "") (info : Branchinfo.t) =
     merge_stream !work;
     if Taskpool.max_inflight st > !max_depth then
       max_depth := Taskpool.max_inflight st;
-    (* one umbrella per round over the streaming window: publication of
-       the batch through consumption of its last result *)
-    if Obs.Timeline.on () then
-      Obs.Timeline.record ~kind:"inflight" ~t0:inflight_tk
-        ~t1:(Obs.Timeline.tick ());
     if continue_ok () then schedule () else work := [];
-    (* drain first, then record the round span: the drain cost itself
-       lands inside this round's window (it is flushed by the next
-       round's drain, or the final one), so round spans tile the loop
-       and the profile can attribute ~all wall time to named spans *)
-    if Obs.Timeline.on () then begin
-      Obs.Timeline.drain ();
-      Obs.Timeline.record ~kind:"round" ~t0:round_tk ~t1:(Obs.Timeline.tick ())
-    end
+    (* the drain's cost is this round's self time; the round span itself
+       is still open, so the next drain (or the final one) emits it *)
+    if Obs.Timeline.on () then Obs.Timeline.drain ()
   done;
   (* final flush: whatever stopped the campaign — budget, signal, or a
      drained work list — leave a snapshot the next run can pick up *)

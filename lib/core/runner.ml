@@ -215,14 +215,17 @@ let run_raw config =
        symbolic log and the search reads it back. This is real work
        proportional to the constraint-set size — the cost that
        constraint-set reduction exists to shrink (paper section IV-C).
-       One-way runs pay it once per heavy process. *)
-    let focus_serialized = Pathlog.serialize focus_log in
-    let _ = Pathlog.parse_count focus_serialized in
-    Array.iter
-      (function
-        | Some log -> ignore (Pathlog.parse_count (Pathlog.serialize log))
-        | None -> ())
-      heavy_logs;
+       One-way runs pay it once per heavy process. Its own span, so
+       the profile never mistakes the paper's cost model for runner
+       overhead. *)
+    let focus_serialized =
+      Obs.Timeline.span "pathlog" (fun () ->
+          let round_trip log = ignore (Pathlog.parse_count (Pathlog.serialize log)) in
+          Array.iter (Option.iter round_trip) heavy_logs;
+          let focus_serialized = Pathlog.serialize focus_log in
+          ignore (Pathlog.parse_count focus_serialized);
+          focus_serialized)
+    in
     let wall_time = Unix.gettimeofday () -. t0 in
     let coverage = Coverage.create () in
     if config.record_all then

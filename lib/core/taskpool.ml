@@ -95,10 +95,7 @@ let worker_loop t ~worker =
         run_claimed t ~worker ~tasks_run b i;
         loop ()
       | Some _ | None ->
-        let tk0 = if Obs.Timeline.on () then Obs.Timeline.tick () else 0 in
-        Condition.wait t.work_cv t.mu;
-        if Obs.Timeline.on () then
-          Obs.Timeline.record ~kind:"idle" ~t0:tk0 ~t1:(Obs.Timeline.tick ());
+        Obs.Timeline.span "idle" (fun () -> Condition.wait t.work_cv t.mu);
         loop ()
   in
   loop ();
@@ -164,10 +161,7 @@ let rec await_next t ~tasks_run b i =
     else begin
       (* claimed but still running on a worker: the only wait in the
          pipeline, visible to the profiler as queue.wait *)
-      let tk0 = if Obs.Timeline.on () then Obs.Timeline.tick () else 0 in
-      Condition.wait t.done_cv t.mu;
-      if Obs.Timeline.on () then
-        Obs.Timeline.record ~kind:"queue.wait" ~t0:tk0 ~t1:(Obs.Timeline.tick ())
+      Obs.Timeline.span "queue.wait" (fun () -> Condition.wait t.done_cv t.mu)
     end;
     await_next t ~tasks_run b i
 

@@ -1481,9 +1481,6 @@ let slots t = t.t_slots
 (* ------------------------------------------------------------------ *)
 
 let run t (hooks : Interp.hooks) =
-  (* same span discipline as Interp.run: one "compiled" span per
-     simulated process, covering suspensions at MPI calls *)
-  let tk0 = if Obs.Timeline.on () then Obs.Timeline.tick () else 0 in
   let c =
     {
       hooks;
@@ -1501,9 +1498,4 @@ let run t (hooks : Interp.hooks) =
     | Interp.Heavy -> t.heavy_entry
     | Interp.Light -> t.light_entry
   in
-  let result =
-    match entry c with () -> Ok () | exception Fault.Fault f -> Error f
-  in
-  if Obs.Timeline.on () then
-    Obs.Timeline.record ~kind:"compiled" ~t0:tk0 ~t1:(Obs.Timeline.tick ());
-  result
+  match entry c with () -> Ok () | exception Fault.Fault f -> Error f

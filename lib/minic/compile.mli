@@ -36,8 +36,7 @@ val compile : Ast.program -> t
 val run : t -> Interp.hooks -> (unit, Fault.t) result
 (** Execute the compiled program under [hooks] — the same signature and
     semantics as {!Interp.run}.  Picks the heavy or light closure tree
-    from [hooks.mode].  Emits a ["compiled"] timeline span (the
-    interpreter's ["interp"] counterpart). *)
+    from [hooks.mode]. *)
 
 val program : t -> Ast.program
 (** The source AST the program was compiled from. *)

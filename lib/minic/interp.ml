@@ -628,27 +628,16 @@ and expr_of_lval _st = function
 (* ------------------------------------------------------------------ *)
 
 let run hooks (program : Ast.program) =
-  (* Timed as one "interp" span per simulated process. The interpreter
-     runs inside a scheduler fiber, so the interval covers the process
-     lifetime including suspensions at MPI calls; spans of concurrently
-     scheduled ranks overlap on the same domain, which the profile's
-     interval-union accounting handles. *)
-  let tk0 = if Obs.Timeline.on () then Obs.Timeline.tick () else 0 in
   let st = { hooks; program; steps = 0; func = program.Ast.entry } in
-  let result =
-    match
-      match Ast.find_func program program.Ast.entry with
-      | None -> type_error st (Printf.sprintf "no entry function %s" program.Ast.entry)
-      | Some fn ->
-        if fn.Ast.params <> [] then type_error st "entry function takes no parameters";
-        st.hooks.on_func_enter fn.Ast.fname;
-        (try exec_block st (Hashtbl.create 16) fn.Ast.body with
-        | Return_exn _ -> ()
-        | Exit_exn _ -> ())
-    with
-    | () -> Ok ()
-    | exception Fault.Fault f -> Error f
-  in
-  if Obs.Timeline.on () then
-    Obs.Timeline.record ~kind:"interp" ~t0:tk0 ~t1:(Obs.Timeline.tick ());
-  result
+  match
+    match Ast.find_func program program.Ast.entry with
+    | None -> type_error st (Printf.sprintf "no entry function %s" program.Ast.entry)
+    | Some fn ->
+      if fn.Ast.params <> [] then type_error st "entry function takes no parameters";
+      st.hooks.on_func_enter fn.Ast.fname;
+      (try exec_block st (Hashtbl.create 16) fn.Ast.body with
+      | Return_exn _ -> ()
+      | Exit_exn _ -> ())
+  with
+  | () -> Ok ()
+  | exception Fault.Fault f -> Error f

@@ -45,7 +45,11 @@ val run :
 (** [run ~nprocs body] executes [body ~rank ~mpi] for every rank as a
     fiber and schedules them to completion. [body] must not let
     exceptions escape (return faults as [Error]); an escaped exception
-    aborts the whole run.
+    aborts the whole run. [body] must not open an {!Obs.Timeline} span
+    either: a fiber suspended at an MPI call would leave it open across
+    other ranks' work. With the timeline on, the run records one
+    ["schedule"] span whose self time is MPI simulation, and inside it
+    one ["rank"] span whose length is the summed time the fibers ran.
 
     With [?schedule] the run executes in {e schedule mode}: wildcard
     ([MPI_ANY_SOURCE]) receives never match eagerly; each is served at

@@ -53,7 +53,14 @@ type t =
           ["collective"], or ["finished"] *)
   | Sched_deadlock of { ranks : int list }
   | Fault of { iteration : int; rank : int; kind : string; detail : string }
-  | Coverage_delta of { iteration : int; covered_before : int; covered_after : int }
+  | Coverage_delta of {
+      iteration : int;
+      covered_before : int;
+      covered_after : int;
+      branches : int list;
+    }
+      (** test [iteration] raised campaign coverage; [branches] are the
+          ids it covered first, ascending *)
   | Worker_spawn of { worker : int }
       (** a campaign worker domain came up ([worker] 0 is the main
           domain, which also executes tasks) *)
@@ -137,12 +144,14 @@ type t =
           alternative prescriptions were queued as schedule candidates,
           and [pruned] alternatives were dropped by partial-order
           reduction (prescribed-prefix rule) or the depth budget *)
-  | Span of { domain : int; kind : string; t0 : int; t1 : int }
+  | Span of { domain : int; kind : string; t0 : int; t1 : int; self : int }
       (** one timed interval from the {!Timeline}: work of [kind] ran on
-          [domain] (pool worker index; 0 = main) from monotonic tick
-          [t0] to [t1], in nanoseconds since the timeline was enabled.
-          The profile fold ([compi-cli profile]) is built entirely from
-          these. *)
+          [domain] (pool worker index; 0 = main) from tick [t0] to [t1],
+          in nanoseconds since the timeline was enabled; [self] is the
+          part of that extent not charged to spans nested inside it, in
+          [[0, t1 - t0]]. The profile fold ([compi-cli profile]) sums
+          [self]; a line without it, or with it out of range, is
+          malformed. *)
   | Status_snapshot of {
       rounds : int;
       executed : int;

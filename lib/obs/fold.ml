@@ -45,7 +45,7 @@ type branch_stat = {
 
 type witness_edge = { we_rank : int; we_kind : string; we_peer : int; we_comm : int }
 
-type span = { sp_domain : int; sp_kind : string; sp_t0 : int; sp_t1 : int }
+type span = { sp_domain : int; sp_kind : string; sp_t0 : int; sp_t1 : int; sp_self : int }
 
 type t = {
   events : int;
@@ -75,6 +75,7 @@ type t = {
   cache_evictions : int;
   lineage : lineage_node list;
   branches : branch_stat list;
+  first_covered : (int * int) list;
   matrix : ((int * int) * int) list;
   rank_sends : (int * int) list;
   rank_recvs : (int * int) list;
@@ -145,6 +146,7 @@ type state = {
   mutable s_faults : (int * int * string * string) list; (* newest first *)
   s_restarts : (string, int) Hashtbl.t;
   mutable s_spans : span list; (* newest first *)
+  s_first_cover : (int, int) Hashtbl.t; (* branch -> first covering test *)
 }
 
 let init () =
@@ -190,6 +192,7 @@ let init () =
     s_faults = [];
     s_restarts = Hashtbl.create 8;
     s_spans = [];
+    s_first_cover = Hashtbl.create 64;
   }
 
 let step st ev =
@@ -265,10 +268,18 @@ let step st ev =
   | Event.Fault { iteration; rank; kind; detail } ->
     st.s_faults <- (iteration, rank, kind, detail) :: st.s_faults
   | Event.Restart { reason; _ } -> bump st.s_restarts reason 1
-  | Event.Span { domain; kind; t0; t1 } ->
+  | Event.Span { domain; kind; t0; t1; self } ->
     st.s_spans <-
-      { sp_domain = domain; sp_kind = kind; sp_t0 = t0; sp_t1 = t1 } :: st.s_spans
-  | Event.Iter_start _ | Event.Negation _ | Event.Coverage_delta _
+      { sp_domain = domain; sp_kind = kind; sp_t0 = t0; sp_t1 = t1; sp_self = self }
+      :: st.s_spans
+  | Event.Coverage_delta { iteration; branches; _ } ->
+    List.iter
+      (fun b ->
+        match Hashtbl.find_opt st.s_first_cover b with
+        | Some t when t <= iteration -> ()
+        | Some _ | None -> Hashtbl.replace st.s_first_cover b iteration)
+      branches
+  | Event.Iter_start _ | Event.Negation _
   | Event.Worker_spawn _ | Event.Worker_task _ | Event.Worker_exit _
   | Event.Checkpoint_write _ | Event.Checkpoint_load _ | Event.Compile _
   | Event.Status_snapshot _ | Event.Ledger_append _ -> ());
@@ -284,21 +295,13 @@ let step_line st raw =
 
 let finish st =
   let lineage = List.sort (fun a b -> compare a.ln_test b.ln_test) st.s_lineage in
-  (* only negated tests target a branch: a schedule fork's [ln_branch]
-     slot holds the alternative source rank, not a branch id *)
-  let first_for_branch = Hashtbl.create 64 in
-  List.iter
-    (fun n ->
-      if n.ln_origin = "negated" && not (Hashtbl.mem first_for_branch n.ln_branch) then
-        Hashtbl.add first_for_branch n.ln_branch n.ln_test)
-    lineage;
   let branches =
     sorted_assoc st.s_negs
     |> List.map (fun (branch, (a, sa, us, uk, ca)) ->
            {
              br_branch = branch;
              br_first_test =
-               Option.value (Hashtbl.find_opt first_for_branch branch) ~default:(-1);
+               Option.value (Hashtbl.find_opt st.s_first_cover branch) ~default:(-1);
              br_attempts = a;
              br_sat = sa;
              br_unsat = us;
@@ -335,6 +338,7 @@ let finish st =
     cache_evictions = st.s_evict;
     lineage;
     branches;
+    first_covered = sorted_assoc st.s_first_cover;
     matrix = sorted_assoc st.s_matrix;
     rank_sends = sorted_assoc st.s_sends;
     rank_recvs = sorted_assoc st.s_recvs;
@@ -379,10 +383,7 @@ let chain t id =
   in
   go [] id
 
-let first_test_for_branch t branch =
-  match List.find_opt (fun b -> b.br_branch = branch) t.branches with
-  | Some b when b.br_first_test >= 0 -> Some b.br_first_test
-  | _ -> None
+let first_test_for_branch t branch = List.assoc_opt branch t.first_covered
 
 let lineage_errors t =
   let errs = ref [] in
@@ -955,70 +956,20 @@ let to_html ?(stable = false) ?(branch_label = string_of_int) t =
 
 (* The span vocabulary this build produces. Wait kinds are time a
    domain provably spent not working (parked on a condition variable or
-   in a join); busy kinds are work, possibly nested (a "round" contains
-   "merge", an "exec" contains "schedule"). Unknown kinds — from a newer
-   or an older producer — are skipped and counted, mirroring the
-   event-kind triage. *)
+   in a join); busy kinds are work. Every span carries its self time
+   (its extent minus what the spans nested in it were charged), so
+   nesting needs no treatment here. Unknown kinds — from a newer or an
+   older producer — are skipped and counted, mirroring the event-kind
+   triage. *)
 let span_wait_kind = function
   | "idle" | "join" | "queue.wait" -> true
   | _ -> false
 
 let span_busy_kind = function
-  | "campaign" | "task" | "exec" | "solve" | "solver.call" | "interp" | "compiled"
-  | "compile" | "schedule" | "strategy" | "checkpoint" | "report" | "round"
-  | "inflight" | "dispatch" | "merge" | "cache.probe" -> true
+  | "campaign" | "round" | "dispatch" | "merge" | "strategy" | "checkpoint" | "report"
+  | "task" | "exec" | "schedule" | "rank" | "pathlog" | "compile" | "solve"
+  | "solver.call" | "cache.probe" -> true
   | _ -> false
-
-(* Structural umbrellas: they tile the main domain so attribution can
-   reach ~100%, but counting them as work would make domain 0 look
-   always-busy and every round's critical path equal its wall. They
-   contribute to coverage/attribution and the per-kind table only.
-   ("inflight" is the pipelined engine's per-round streaming window —
-   batch publication through last result consumed — and overlaps the
-   merges and queue waits inside it, so it is structural too.) *)
-let span_struct_kind = function
-  | "round" | "campaign" | "inflight" -> true
-  | _ -> false
-
-(* Integer interval lists [(lo, hi)], hi exclusive. [ivs_norm] sorts,
-   drops empties, and merges overlaps into a disjoint ascending list —
-   the form the other operations expect. *)
-let ivs_norm ivs =
-  match List.sort compare (List.filter (fun (a, b) -> b > a) ivs) with
-  | [] -> []
-  | first :: rest ->
-    let merged, last =
-      List.fold_left
-        (fun (acc, (pa, pb)) (a, b) ->
-          if a <= pb then (acc, (pa, max pb b)) else ((pa, pb) :: acc, (a, b)))
-        ([], first) rest
-    in
-    List.rev (last :: merged)
-
-let ivs_len ivs = List.fold_left (fun acc (a, b) -> acc + (b - a)) 0 ivs
-
-(* [ivs_sub a b]: the parts of [a] not covered by [b]; both disjoint
-   ascending. *)
-let ivs_sub a b =
-  let rec go acc a b =
-    match (a, b) with
-    | [], _ -> List.rev acc
-    | rest, [] -> List.rev_append acc rest
-    | (a0, a1) :: ar, (b0, b1) :: br ->
-      if b1 <= a0 then go acc a br
-      else if a1 <= b0 then go ((a0, a1) :: acc) ar b
-      else
-        let acc = if a0 < b0 then (a0, b0) :: acc else acc in
-        if a1 > b1 then go acc ((b1, a1) :: ar) br else go acc ar b
-  in
-  go [] a b
-
-let ivs_clip (lo, hi) ivs =
-  List.filter_map
-    (fun (a, b) ->
-      let a = max a lo and b = min b hi in
-      if b > a then Some (a, b) else None)
-    ivs
 
 type domain_prof = {
   dp_domain : int;
@@ -1042,12 +993,6 @@ type profile = {
   pf_wall_ns : int;
   pf_kinds : (string * (int * int)) list;
   pf_domains : domain_prof list;
-  pf_queue_wait_ns : int;
-  pf_queue_waits : int;
-  pf_idle_ns : int;
-  pf_join_ns : int;
-  pf_probe_ns : int;
-  pf_probes : int;
   pf_rounds : round_prof list;
   pf_attributed_pct : float;
 }
@@ -1068,12 +1013,6 @@ let empty_profile =
     pf_wall_ns = 0;
     pf_kinds = [];
     pf_domains = [];
-    pf_queue_wait_ns = 0;
-    pf_queue_waits = 0;
-    pf_idle_ns = 0;
-    pf_join_ns = 0;
-    pf_probe_ns = 0;
-    pf_probes = 0;
     pf_rounds = [];
     pf_attributed_pct = 0.0;
   }
@@ -1092,83 +1031,71 @@ let profile t =
     let t_max = List.fold_left (fun acc s -> max acc s.sp_t1) t_min known in
     let wall = max 1 (t_max - t_min) in
     let kinds = Hashtbl.create 16 in
+    (* domain -> (spans, busy self, wait self) *)
+    let doms = Hashtbl.create 8 in
     List.iter
       (fun s ->
         let c, ns = Option.value (Hashtbl.find_opt kinds s.sp_kind) ~default:(0, 0) in
-        Hashtbl.replace kinds s.sp_kind (c + 1, ns + max 0 (s.sp_t1 - s.sp_t0)))
+        Hashtbl.replace kinds s.sp_kind (c + 1, ns + s.sp_self);
+        let n, busy, wait =
+          Option.value (Hashtbl.find_opt doms s.sp_domain) ~default:(0, 0, 0)
+        in
+        Hashtbl.replace doms s.sp_domain
+          (if span_wait_kind s.sp_kind then (n + 1, busy, wait + s.sp_self)
+           else (n + 1, busy + s.sp_self, wait)))
       known;
-    let kind_total k =
-      match Hashtbl.find_opt kinds k with Some (_, ns) -> ns | None -> 0
-    in
-    let kind_count k =
-      match Hashtbl.find_opt kinds k with Some (c, _) -> c | None -> 0
-    in
-    let domains =
-      List.sort_uniq compare (List.map (fun s -> s.sp_domain) known)
-    in
-    (* exclusive busy = union(busy \ structural) minus union(wait): a
-       domain parked on the result queue or holding no task is not
-       busy, so per-domain utilization can never exceed 1; umbrella
-       spans ("round", "campaign") are excluded or domain 0 would look
-       always-busy. *)
-    let excl_busy_of d =
-      let mine = List.filter (fun s -> s.sp_domain = d) known in
-      let iv p = ivs_norm (List.filter_map (fun s -> if p s.sp_kind then Some (s.sp_t0, s.sp_t1) else None) mine) in
-      let busy = iv (fun k -> span_busy_kind k && not (span_struct_kind k)) in
-      (ivs_sub busy (iv span_wait_kind), iv span_wait_kind, List.length mine)
-    in
-    let per_domain = List.map (fun d -> (d, excl_busy_of d)) domains in
     let pf_domains =
       List.map
-        (fun (d, (busy, wait, nspans)) ->
-          let busy_ns = ivs_len busy in
+        (fun (d, (n, busy, wait)) ->
           {
             dp_domain = d;
-            dp_spans = nspans;
-            dp_busy_ns = busy_ns;
-            dp_wait_ns = ivs_len wait;
-            dp_util = float_of_int busy_ns /. float_of_int wall;
+            dp_spans = n;
+            dp_busy_ns = busy;
+            dp_wait_ns = wait;
+            dp_util = float_of_int busy /. float_of_int wall;
           })
-        per_domain
+        (sorted_assoc doms)
     in
-    (* critical path per round: the longest exclusive-busy time any one
-       domain accumulated inside the round window; the remainder of the
-       round's wall is stall no schedule could have hidden. *)
+    (* critical path per round: the most busy self time any one domain
+       spent in spans that begin inside the round window; the remainder
+       of the round's wall is stall no schedule could have hidden *)
     let rounds =
       List.filter (fun s -> s.sp_kind = "round") known
       |> List.sort (fun a b -> compare (a.sp_t0, a.sp_t1) (b.sp_t0, b.sp_t1))
+      |> Array.of_list
     in
+    (* one merge pass: [known] and [rounds] both ascend by t0 and rounds
+       do not overlap, so [r] only moves forward *)
+    let busy_in = Hashtbl.create 64 and r = ref 0 in
+    List.iter
+      (fun s ->
+        while !r < Array.length rounds && rounds.(!r).sp_t1 <= s.sp_t0 do incr r done;
+        if !r < Array.length rounds && rounds.(!r).sp_t0 <= s.sp_t0
+           && not (span_wait_kind s.sp_kind)
+        then bump busy_in (!r, s.sp_domain) s.sp_self)
+      known;
     let pf_rounds =
       List.mapi
         (fun i r ->
-          let w = (r.sp_t0, r.sp_t1) in
+          let wall_r = r.sp_t1 - r.sp_t0 in
           let crit_domain, crit =
             List.fold_left
-              (fun (bd, bn) (d, (busy, _, _)) ->
-                let n = ivs_len (ivs_clip w busy) in
-                if n > bn then (d, n) else (bd, bn))
-              (-1, -1) per_domain
+              (fun (bd, bn) d ->
+                let n = Option.value (Hashtbl.find_opt busy_in (i, d.dp_domain)) ~default:0 in
+                if n > bn then (d.dp_domain, n) else (bd, bn))
+              (-1, 0) pf_domains
           in
-          let wall_r = max 0 (r.sp_t1 - r.sp_t0) in
+          let crit = min crit wall_r in
           {
             rp_index = i + 1;
             rp_wall_ns = wall_r;
-            rp_crit_ns = max 0 crit;
+            rp_crit_ns = crit;
             rp_crit_domain = crit_domain;
-            rp_stall_ns = max 0 (wall_r - max 0 crit);
+            rp_stall_ns = wall_r - crit;
           })
-        rounds
+        (Array.to_list rounds)
     in
-    (* attribution: how much of the global extent the main domain's
-       named spans cover — the >= 95% acceptance gate for the
-       instrumentation itself *)
-    let main_cover =
-      ivs_len
-        (ivs_norm
-           (List.filter_map
-              (fun s -> if s.sp_domain = 0 then Some (s.sp_t0, s.sp_t1) else None)
-              known))
-    in
+    let _, main_busy, main_wait = Option.value (Hashtbl.find_opt doms 0) ~default:(0, 0, 0) in
     {
       pf_spans = List.length known;
       pf_unknown;
@@ -1177,15 +1104,11 @@ let profile t =
         sorted_assoc kinds
         |> List.sort (fun (ka, (_, na)) (kb, (_, nb)) -> compare (nb, ka) (na, kb));
       pf_domains;
-      pf_queue_wait_ns = kind_total "queue.wait";
-      pf_queue_waits = kind_count "queue.wait";
-      pf_idle_ns = kind_total "idle";
-      pf_join_ns = kind_total "join";
-      pf_probe_ns = kind_total "cache.probe";
-      pf_probes = kind_count "cache.probe";
       pf_rounds;
-      pf_attributed_pct = 100.0 *. float_of_int main_cover /. float_of_int wall;
+      pf_attributed_pct = 100.0 *. float_of_int (main_busy + main_wait) /. float_of_int wall;
     }
+
+let kind_self p kind = Option.value (List.assoc_opt kind p.pf_kinds) ~default:(0, 0)
 
 (* ------------------------------------------------------------------ *)
 (* Profile renderers                                                   *)
@@ -1231,13 +1154,13 @@ let profile_text ?(stable = false) t =
         (List.fold_left (fun acc (_, n) -> acc + n) 0 p.pf_unknown)
         (String.concat ", "
            (List.map (fun (k, n) -> Printf.sprintf "%s (%d)" k n) p.pf_unknown));
-    pf "\nper-kind totals (nested spans count toward every enclosing kind):\n";
-    pf "  %-16s %8s %12s %7s\n" "kind" "count" "total" "% wall";
+    pf "\nper-kind self time, summed over domains (a span's extent minus the spans nested in it):\n";
+    pf "  %-16s %8s %12s %7s\n" "kind" "count" "self" "% wall";
     List.iter
       (fun (k, (c, ns)) ->
         pf "  %-16s %8d %12s %7s\n" k c (dur ~stable ns) (share ~stable ns p.pf_wall_ns))
       p.pf_kinds;
-    pf "\nper-worker utilization (exclusive busy time / wall):\n";
+    pf "\nper-worker utilization (busy self time / wall):\n";
     pf "  %-6s %12s %12s %6s\n" "domain" "busy" "wait" "util";
     List.iter
       (fun d ->
@@ -1247,13 +1170,13 @@ let profile_text ?(stable = false) t =
           (dur ~stable d.dp_wait_ns) u bar)
       p.pf_domains;
     pf "\nstalls:\n";
+    let waits, wait_ns = kind_self p "queue.wait" in
     pf "  pipeline queue wait (main waiting on the next in-order result): %s (%s of wall) across %d wait(s)\n"
-      (dur ~stable p.pf_queue_wait_ns)
-      (share ~stable p.pf_queue_wait_ns p.pf_wall_ns)
-      p.pf_queue_waits;
-    pf "  worker idle (no task claimable): %s\n" (dur ~stable p.pf_idle_ns);
-    pf "  pool join: %s\n" (dur ~stable p.pf_join_ns);
-    pf "  cache probes: %s over %d probe(s)\n" (dur ~stable p.pf_probe_ns) p.pf_probes;
+      (dur ~stable wait_ns) (share ~stable wait_ns p.pf_wall_ns) waits;
+    pf "  worker idle (no task claimable): %s\n" (dur ~stable (snd (kind_self p "idle")));
+    pf "  pool join: %s\n" (dur ~stable (snd (kind_self p "join")));
+    let probes, probe_ns = kind_self p "cache.probe" in
+    pf "  cache probes: %s over %d probe(s)\n" (dur ~stable probe_ns) probes;
     if p.pf_rounds <> [] then begin
       let nr = List.length p.pf_rounds in
       let tot f = List.fold_left (fun acc r -> acc + f r) 0 p.pf_rounds in
@@ -1342,19 +1265,19 @@ let profile_html ?(stable = false) t =
         pf "<tr><td class=\"l\">%s</td><td>%s</td><td>%s</td></tr>\n" label
           (dur ~stable ns) (share ~stable ns p.pf_wall_ns))
       [
-        ("pipeline queue wait", p.pf_queue_wait_ns);
-        ("worker idle", p.pf_idle_ns);
-        ("pool join", p.pf_join_ns);
+        ("pipeline queue wait", snd (kind_self p "queue.wait"));
+        ("worker idle", snd (kind_self p "idle"));
+        ("pool join", snd (kind_self p "join"));
       ];
     pf "</table>\n";
     (* gantt *)
     let w = 1000 and row_h = 22 and label_w = 60 in
     let nd = List.length p.pf_domains in
     let h = (nd * row_h) + 30 in
+    (* outer spans first, so the spans nested in them paint on top *)
     let spans =
-      List.filter
-        (fun s -> span_busy_kind s.sp_kind || span_wait_kind s.sp_kind)
-        t.spans
+      List.filter (fun s -> span_busy_kind s.sp_kind || span_wait_kind s.sp_kind) t.spans
+      |> List.stable_sort (fun a b -> compare (a.sp_t0, b.sp_t1) (b.sp_t0, a.sp_t1))
     in
     let t_min =
       List.fold_left (fun acc s -> min acc s.sp_t0) max_int spans
@@ -1401,8 +1324,8 @@ let profile_html ?(stable = false) t =
       legend_kinds;
     pf "</p>\n";
     (* kind table *)
-    pf "<h2>Per-kind totals</h2>\n<table>\n";
-    pf "<tr><th class=\"l\">kind</th><th>count</th><th>total</th><th>%% wall</th></tr>\n";
+    pf "<h2>Per-kind self time</h2>\n<table>\n";
+    pf "<tr><th class=\"l\">kind</th><th>count</th><th>self</th><th>%% wall</th></tr>\n";
     List.iter
       (fun (k, (c, ns)) ->
         pf "<tr><td class=\"l\">%s</td><td>%d</td><td>%s</td><td>%s</td></tr>\n" (esc k)

@@ -35,7 +35,7 @@ type lineage_node = {
 
 type branch_stat = {
   br_branch : int;
-  br_first_test : int;  (** first test targeting it that ran, -1 if none *)
+  br_first_test : int;  (** first test that covered it, -1 if none *)
   br_attempts : int;  (** negation attempts targeting this branch *)
   br_sat : int;
   br_unsat : int;
@@ -50,6 +50,7 @@ type span = {
   sp_kind : string;  (** e.g. ["exec"], ["queue.wait"], ["cache.probe"] *)
   sp_t0 : int;  (** begin tick, ns since the timeline was enabled *)
   sp_t1 : int;  (** end tick, ns *)
+  sp_self : int;  (** ns of the extent not charged to nested spans *)
 }
 
 type t = {
@@ -79,7 +80,10 @@ type t = {
   cache_misses : int;
   cache_evictions : int;
   lineage : lineage_node list;  (** ascending test id *)
-  branches : branch_stat list;  (** ascending branch id *)
+  branches : branch_stat list;  (** branches negations targeted, ascending id *)
+  first_covered : (int * int) list;
+      (** branch → first test whose [coverage_delta] names it, ascending
+          branch *)
   matrix : ((int * int) * int) list;  (** (src, dst) → delivered messages *)
   rank_sends : (int * int) list;  (** rank → send posts *)
   rank_recvs : (int * int) list;  (** rank → completed receives *)
@@ -139,7 +143,8 @@ val chain : t -> int -> lineage_node list
     to the root. Cycle-safe (stops on a repeated id). *)
 
 val first_test_for_branch : t -> int -> int option
-(** First test whose producing negation targeted the branch. *)
+(** First test that covered the branch, read from the branch ids the
+    [coverage_delta] events carry. *)
 
 val lineage_errors : t -> string list
 (** Structural invariant violations: duplicate ids, missing or
@@ -170,33 +175,26 @@ val to_html : ?stable:bool -> ?branch_label:(int -> string) -> t -> string
 (** {2 Profile fold}
 
     Everything below is a pure function of {!t}[.spans]: where the
-    campaign's nanoseconds went, per domain and per round. *)
-
-val span_wait_kind : string -> bool
-(** Time a domain provably spent not working: ["idle"], ["queue.wait"]
-    (the pipelined engine's main domain parked on the next in-order
-    result) and ["join"]. *)
-
-val span_busy_kind : string -> bool
-(** Work kinds this build produces (["task"], ["exec"], ["solve"],
-    ["round"], …). A span kind that is neither busy nor wait is
-    skipped-and-counted. *)
+    campaign's nanoseconds went, per domain and per round. Spans carry
+    their exclusive ([self]) time, so every total here is a sum of
+    [self]: a domain's per-kind totals add up to its busy + wait time,
+    and no time is counted twice. A span kind this build does not
+    produce is skipped and counted. *)
 
 type domain_prof = {
   dp_domain : int;
   dp_spans : int;  (** spans recorded on this domain *)
-  dp_busy_ns : int;
-      (** exclusive busy: union(busy) minus union(wait); structural
-          umbrella spans ([round], [campaign], [inflight]) are
-          excluded *)
-  dp_wait_ns : int;  (** union of wait intervals *)
-  dp_util : float;  (** busy / global wall; always in [0, 1] *)
+  dp_busy_ns : int;  (** summed self time of busy kinds *)
+  dp_wait_ns : int;  (** summed self time of wait kinds *)
+  dp_util : float;  (** busy / global wall *)
 }
 
 type round_prof = {
   rp_index : int;  (** 1-based round number *)
   rp_wall_ns : int;
-  rp_crit_ns : int;  (** longest single-domain exclusive-busy in the round *)
+  rp_crit_ns : int;
+      (** largest single-domain busy self time among spans that begin in
+          the round, at most the round's wall *)
   rp_crit_domain : int;  (** the domain carrying the critical path *)
   rp_stall_ns : int;  (** wall − crit: latency no schedule could hide *)
 }
@@ -206,24 +204,22 @@ type profile = {
   pf_unknown : (string * int) list;  (** skipped kinds, sorted *)
   pf_wall_ns : int;  (** global extent: max t1 − min t0 (≥ 1) *)
   pf_kinds : (string * (int * int)) list;
-      (** kind → (count, total ns), descending by total *)
+      (** kind → (count, summed self ns), descending by self *)
   pf_domains : domain_prof list;  (** ascending domain id *)
-  pf_queue_wait_ns : int;
-      (** main parked on the next in-order pipeline result *)
-  pf_queue_waits : int;  (** number of such waits *)
-  pf_idle_ns : int;  (** workers parked with nothing claimable *)
-  pf_join_ns : int;
-  pf_probe_ns : int;  (** solver-cache probes *)
-  pf_probes : int;
   pf_rounds : round_prof list;
   pf_attributed_pct : float;
-      (** % of wall covered by named spans on the main domain — the
+      (** the main domain's summed self time as % of wall — the
           instrumentation-completeness gauge *)
 }
 
 val profile : t -> profile
 (** Pure and deterministic; an empty span list yields a zeroed profile
     (with [pf_unknown] still populated). *)
+
+val kind_self : profile -> string -> int * int
+(** [(count, summed self ns)] of one span kind, [(0, 0)] if absent —
+    e.g. ["queue.wait"] (main parked on the next in-order pipeline
+    result), ["idle"] (workers with nothing claimable), ["cache.probe"]. *)
 
 val profile_text : ?stable:bool -> t -> string
 (** Text breakdown: per-kind totals, per-worker utilization bars,

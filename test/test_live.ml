@@ -39,7 +39,7 @@ let pool : Obs.Event.t array =
     Sched_step { kind = "send"; rank = 0; comm = 0; detail = "dest=1 tag=0" };
     Sched_deadlock { ranks = [ 1; 2 ] };
     Fault { iteration = 4; rank = 1; kind = "assert"; detail = "boom" };
-    Coverage_delta { iteration = 4; covered_before = 5; covered_after = 7 };
+    Coverage_delta { iteration = 4; covered_before = 5; covered_after = 7; branches = [ 3; 8 ] };
     Worker_spawn { worker = 1 };
     Worker_task { worker = 1; task = 2; time_s = 0.1 };
     Worker_exit { worker = 1; tasks = 2 };
@@ -62,9 +62,9 @@ let pool : Obs.Event.t array =
     Deadlock_witness { rank = 1; comm = 0; kind = "recv"; peer = 2 };
     Schedule_choice { rank = 0; comm = 0; tag = 3; chosen = 2; alts = [ 1; 2 ]; point = 0 };
     Schedule_enum { parent = 1; points = 2; emitted = 1; pruned = 1 };
-    Span { domain = 0; kind = "merge"; t0 = 500; t1 = 900 };
-    Span { domain = 1; kind = "exec"; t0 = 1_000; t1 = 2_000 };
-    Span { domain = 1; kind = "idle"; t0 = 2_000; t1 = 2_400 };
+    Span { domain = 0; kind = "merge"; t0 = 500; t1 = 900; self = 400 };
+    Span { domain = 1; kind = "exec"; t0 = 1_000; t1 = 2_000; self = 600 };
+    Span { domain = 1; kind = "idle"; t0 = 2_000; t1 = 2_400; self = 400 };
     Status_snapshot
       { rounds = 3; executed = 10; covered = 5; reachable = 12; bugs = 1;
         queue = 2; path = "/tmp/s.json" };

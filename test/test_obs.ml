@@ -121,7 +121,7 @@ let sample_events : Obs.Event.t list =
     Sched_step { kind = "send"; rank = 1; comm = 0; detail = "dest=2 tag=0" };
     Sched_deadlock { ranks = [ 0; 1; 3 ] };
     Fault { iteration = 9; rank = 2; kind = "assert"; detail = "x > 0\nline 3" };
-    Coverage_delta { iteration = 9; covered_before = 10; covered_after = 12 };
+    Coverage_delta { iteration = 9; covered_before = 10; covered_after = 12; branches = [ 4; 21 ] };
     Worker_spawn { worker = 2 };
     Worker_task { worker = 2; task = 17; time_s = 0.004 };
     Worker_exit { worker = 2; tasks = 9 };
@@ -141,7 +141,7 @@ let sample_events : Obs.Event.t list =
     Deadlock_witness { rank = 1; comm = 0; kind = "collective:barrier"; peer = 3 };
     Schedule_choice { rank = 0; comm = 0; tag = 3; chosen = 2; alts = [ 1; 2 ]; point = 0 };
     Schedule_enum { parent = 12; points = 2; emitted = 1; pruned = 1 };
-    Span { domain = 1; kind = "queue.wait"; t0 = 1_000; t1 = 2_500 };
+    Span { domain = 1; kind = "queue.wait"; t0 = 1_000; t1 = 2_500; self = 1_500 };
     Status_snapshot
       { rounds = 40; executed = 120; covered = 30; reachable = 38; bugs = 1;
         queue = 6; path = "/tmp/status.json" };

@@ -95,7 +95,8 @@ let all_kind_samples : Obs.Event.t list =
     Sched_step { kind = "recv"; rank = 1; comm = 0; detail = "src=0 tag=0" };
     Sched_deadlock { ranks = [ 1; 2 ] };
     Fault { iteration = 0; rank = 1; kind = "assert"; detail = "boom" };
-    Coverage_delta { iteration = 0; covered_before = 0; covered_after = 5 };
+    Coverage_delta
+      { iteration = 0; covered_before = 0; covered_after = 5; branches = [ 0; 2; 5; 6; 9 ] };
     Worker_spawn { worker = 1 };
     Worker_task { worker = 1; task = 2; time_s = 0.1 };
     Worker_exit { worker = 1; tasks = 2 };
@@ -109,7 +110,7 @@ let all_kind_samples : Obs.Event.t list =
     Coll_done { comm = 0; signature = "barrier"; ranks = [ 0; 1; 2; 3 ] };
     Rank_blocked { rank = 2; comm = 0; kind = "recv"; peer = 0 };
     Deadlock_witness { rank = 1; comm = 0; kind = "recv"; peer = 2 };
-    Span { domain = 1; kind = "exec"; t0 = 1_000; t1 = 2_000 };
+    Span { domain = 1; kind = "exec"; t0 = 1_000; t1 = 2_000; self = 1_000 };
     Status_snapshot
       { rounds = 3; executed = 10; covered = 5; reachable = 8; bugs = 1;
         queue = 2; path = "/tmp/status.json" };
@@ -218,8 +219,8 @@ let test_lineage_invariants () =
   Alcotest.(check bool) "paper arm produced lineage" true (fd.Obs.Fold.lineage <> [])
 
 (* A schedule fork's lineage [branch] slot holds the alternative source
-   rank; only negated tests give a branch its first test, even when the
-   rank happens to equal a real branch id. *)
+   rank; a branch's first test is the test whose coverage_delta names
+   it, even when the rank happens to equal a real branch id. *)
 let test_schedule_fork_not_first_test () =
   let lt test parent origin branch index =
     Obs.Event.Lineage_test { test; parent; origin; branch; index; cached = false }
@@ -228,15 +229,22 @@ let test_schedule_fork_not_first_test () =
     Obs.Event.Lineage_negation
       { parent; index; branch; outcome = Obs.Event.Sat; cached = false }
   in
+  let cov iteration branches =
+    Obs.Event.Coverage_delta
+      { iteration; covered_before = 0; covered_after = List.length branches; branches }
+  in
   let f =
     Obs.Fold.fold
       [
         lt 0 (-1) "seed" (-1) (-1);
+        cov 0 [ 0; 4 ];
         lt 1 0 "schedule" 2 0;
         neg 0 0 3;
         lt 2 0 "negated" 3 0;
+        cov 2 [ 3 ];
         neg 2 1 2;
         lt 3 2 "negated" 2 1;
+        cov 3 [ 2 ];
       ]
   in
   Alcotest.(check (list string)) "lineage sound" [] (Obs.Fold.lineage_errors f);
@@ -247,6 +255,96 @@ let test_schedule_fork_not_first_test () =
     (List.map
        (fun (b : Obs.Fold.branch_stat) -> (b.Obs.Fold.br_branch, b.Obs.Fold.br_first_test))
        f.Obs.Fold.branches)
+
+(* "First covered by" names the test that covered the branch, not the
+   first test a negation targeting it produced: here that test (4)
+   missed the branch and a later one (6) hit it. A branch no negation
+   targeted still has a first test, and a targeted branch nothing
+   covered is a plateau branch. *)
+let test_first_covered_is_covering_test () =
+  let cov iteration covered_before branches =
+    Obs.Event.Coverage_delta
+      {
+        iteration;
+        covered_before;
+        covered_after = covered_before + List.length branches;
+        branches;
+      }
+  in
+  let neg parent branch outcome =
+    Obs.Event.Lineage_negation { parent; index = 0; branch; outcome; cached = false }
+  in
+  let f =
+    Obs.Fold.fold
+      [
+        cov 0 0 [ 1; 2 ];
+        neg 0 5 Obs.Event.Sat;
+        Obs.Event.Lineage_test
+          { test = 4; parent = 0; origin = "negated"; branch = 5; index = 0; cached = false };
+        neg 4 7 Obs.Event.Unsat;
+        cov 6 2 [ 5 ];
+      ]
+  in
+  Alcotest.(check (option int)) "covering test, not targeting test" (Some 6)
+    (Obs.Fold.first_test_for_branch f 5);
+  Alcotest.(check (option int)) "untargeted branch has a first test" (Some 0)
+    (Obs.Fold.first_test_for_branch f 2);
+  Alcotest.(check (option int)) "targeted, never covered" None
+    (Obs.Fold.first_test_for_branch f 7);
+  Alcotest.(check (list (pair int int))) "per-branch first tests"
+    [ (5, 6); (7, -1) ]
+    (List.map
+       (fun (b : Obs.Fold.branch_stat) -> (b.Obs.Fold.br_branch, b.Obs.Fold.br_first_test))
+       f.Obs.Fold.branches);
+  (* live: on the wc-race schedule campaign every first test is a test
+     whose coverage_delta names the branch, and each delta names exactly
+     as many branches as coverage rose by *)
+  let settings =
+    {
+      Compi.Campaign.default_settings with
+      Compi.Campaign.base =
+        {
+          Compi.Driver.default_settings with
+          Compi.Driver.iterations = 60;
+          dfs_phase_iters = 4;
+          initial_nprocs = 3;
+          step_limit = 100_000;
+          seed = 3;
+          schedules = true;
+        };
+    }
+  in
+  let buf = Buffer.create 65536 in
+  ignore
+    (Obs.Sink.with_sink (Obs.Sink.Buffer_sink buf) (fun () ->
+         Compi.Campaign.run ~settings
+           (Targets.Registry.instrument (Targets.Catalog.find_exn "wc-race"))));
+  let lines = String.split_on_char '\n' (Buffer.contents buf) in
+  let deltas =
+    List.filter_map
+      (fun l ->
+        match Obs.Fold.classify_line l with
+        | `Event (Obs.Event.Coverage_delta { iteration; covered_before; covered_after; branches })
+          ->
+          Alcotest.(check int) "delta names every new branch"
+            (covered_after - covered_before) (List.length branches);
+          Some (iteration, branches)
+        | _ -> None)
+      lines
+  in
+  let f = Obs.Fold.of_lines lines in
+  Alcotest.(check bool) "some branch was targeted and covered" true
+    (List.exists (fun (b : Obs.Fold.branch_stat) -> b.Obs.Fold.br_first_test >= 0)
+       f.Obs.Fold.branches);
+  List.iter
+    (fun (b : Obs.Fold.branch_stat) ->
+      let t = b.Obs.Fold.br_first_test in
+      if t >= 0 then
+        match List.assoc_opt t deltas with
+        | Some bs when List.mem b.Obs.Fold.br_branch bs -> ()
+        | _ ->
+          Alcotest.failf "branch %d: first test %d did not cover it" b.Obs.Fold.br_branch t)
+    f.Obs.Fold.branches
 
 (* ------------------------------------------------------------------ *)
 (* deadlock witness: the edges name the wait-for cycle                 *)
@@ -390,6 +488,8 @@ let suite =
         Alcotest.test_case "lineage invariants" `Quick test_lineage_invariants;
         Alcotest.test_case "schedule fork is not a branch's first test" `Quick
           test_schedule_fork_not_first_test;
+        Alcotest.test_case "first covered is the covering test" `Quick
+          test_first_covered_is_covering_test;
         Alcotest.test_case "deadlock witness cycle" `Quick test_deadlock_witness;
         Alcotest.test_case "collective witness no cycle" `Quick
           test_collective_witness_no_false_cycle;
